@@ -1,10 +1,24 @@
 """Real-line Hurwitz zeta evaluation and the strip-wise integral cross-check.
 
-The evaluator is Euler-Maclaurin: head sum, integral term, half term, then
-even-Bernoulli corrections with the first-omitted-term remainder bound.  When
-cancellation in the head sum would eat the error budget (deeply negative
-sigma), the same algorithm runs on `mpmath` floats with guard precision; the
-returned value is always an ordinary float.
+The adaptive evaluator picks one of three paths from sigma (the `path`
+field of `EvalResult` names the one that served a call):
+
+- sigma >= `FOURIER_CROSSOVER` (-3): Euler-Maclaurin -- head sum, integral
+  term, half term, then even-Bernoulli corrections with the
+  first-omitted-term remainder bound -- in floats (`float-em`), or on
+  `mpmath` floats with guard precision (`mpf-em`) when head-sum rounding
+  would eat the error budget: targets tighter than the 1e-10 default, or
+  sigma > 0 with small a.
+- sigma < -3, integer: the exact value -B_n(a)/n at n = 1 - sigma
+  (`exact`), rounded once to a float.
+- sigma < -3, otherwise: Hurwitz's Fourier series in floats (`fourier`),
+  which has no head-sum cancellation for sigma < 0; its bound covers the
+  series tail and float rounding.  Below sigma = -21 the terms grow so
+  large that float rounding alone passes half the default target, and
+  guarded `mpf-em` serves instead.
+
+Explicit `cutoff` or `correction_order` overrides always run
+Euler-Maclaurin.  The returned value is always an ordinary float.
 """
 
 from __future__ import annotations
@@ -17,7 +31,6 @@ from functools import lru_cache
 from typing import Optional
 
 from mpmath import mp, mpf
-from scipy.integrate import quad
 
 from .bernoulli import (
     RATIONAL_CAP,
@@ -44,6 +57,16 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_TWO_PI = 2.0 * math.pi
+
+#: Adaptive calls below this sigma leave Euler-Maclaurin.  Against
+#: `mpmath.zeta` at 40 digits, float EM misses its 1e-10 target just above
+#: the point where head-sum cancellation sends it to guarded mpmath (worst
+#: 2.62e-10 at sigma=-3.4807649152658082, a=0.9493694307689811; 597 of 1338
+#: samples over target in (-3.6, -3.25) and 213 of 1500 in (-3.25, -3), none
+#: in (-3, 0)), and guarded-mpmath EM below that costs 450-860 us per call.
+#: The Fourier series reaches 1e-10 in 5-372 float terms for sigma < -3.
+FOURIER_CROSSOVER = -3.0
 
 #: x below this uses the Laurent-tail form of the integrand (validity radius
 #: of the expansion is 2*pi, comfortably above it).
@@ -83,10 +106,19 @@ class EvalParams:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """An evaluator value with its absolute error bound.
+
+    `path` is the evaluator that served the call: `float-em`, `mpf-em`,
+    `fourier` or `exact`.  `cutoff` is the Euler-Maclaurin head length or
+    the number of Fourier terms (0 for `exact`); `correction_order` is the
+    Euler-Maclaurin order (0 off Euler-Maclaurin).
+    """
+
     value: float
     error_bound: float
     cutoff: int
     correction_order: int
+    path: str
 
 
 def check_shift(a: float) -> float:
@@ -187,6 +219,50 @@ def _needs_guard_precision(sigma: float, a: float, M: int,
     return _EPS * peak * math.sqrt(M + 4) > target / 2.0
 
 
+def _fourier_float(sigma: float, a: float, target: float, max_terms: int):
+    """Hurwitz's formula in floats, for sigma < -3 (the rounding bound
+    below assumes s > 4).
+
+    With s = 1 - sigma > 1 and 0 < a <= 1,
+    zeta(sigma, a) = pref * sum_(k>=1) cos(pi s/2 - 2 pi k a) / k^s with
+    pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  The first n terms are
+    summed, n least with tail bound pref * n^(1-s)/(s-1) <= target/2.
+    Returns (value, error_bound, n), the bound being the tail plus float
+    rounding, or None when the rounding bound alone exceeds target/2.
+    Raises AccuracyError when n would exceed `max_terms`.
+    """
+    s = 1.0 - sigma
+    if s > 170.0:
+        return None  # Gamma(s) overflows; rounding passed any target long ago
+    pref = 2.0 * math.gamma(s) / _TWO_PI ** s
+    # First-order rounding, in ulps of pref, for s > 4 (so sum k^-s < 1.09,
+    # sum k^(1-s) < 1.21) and n <= max_terms: the rounded s (s/2 ulps times
+    # log s + log n + 4 for the slope of each term), the cosine argument
+    # (pi s + pi k + 11 ulps, k*a included), k^-s and the product (1.5),
+    # the correctly rounded fsum (0.5) and pref itself (22.5 + s/2, Gamma
+    # taken as good to 20 ulps).
+    rounding = _EPS * pref * (s * (math.log(s * max_terms) + 12.0) + 44.0)
+    if rounding > target / 2.0:
+        return None
+    n = max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
+                         ** (1.0 / (s - 1.0))))
+    if n > max_terms:
+        tail = pref * max_terms ** (1.0 - s) / (s - 1.0)
+        raise AccuracyError(
+            f"Fourier series needs {n} terms, over the cap {max_terms}, "
+            f"at sigma={sigma}, a={a}",
+            achieved_bound=tail + rounding,
+        )
+    tail = pref * n ** (1.0 - s) / (s - 1.0)
+    if tail > target / 2.0:  # the rounded root fell just short
+        n += 1
+        tail = pref * n ** (1.0 - s) / (s - 1.0)
+    phase = 0.5 * math.pi * s
+    total = math.fsum(math.cos(phase - _TWO_PI * (k * a % 1.0)) * k ** -s
+                      for k in range(1, n + 1))
+    return pref * total, tail + rounding, n
+
+
 def hurwitz_zeta_detailed(
     sigma: float,
     a: float,
@@ -197,24 +273,40 @@ def hurwitz_zeta_detailed(
     """Evaluate zeta(sigma, a) with an explicit achieved error bound.
 
     `cutoff` and `correction_order` override the adaptive policy (used by the
-    parameter-sanity tests); normally the head length is
-    max(20, ceil(|sigma|) + 10) and the correction order grows from 5 until
-    the first-omitted-term bound clears the target.
+    parameter-sanity tests) and always run Euler-Maclaurin.  Otherwise
+    sigma < `FOURIER_CROSSOVER` is served exactly at integers and by the
+    Fourier series elsewhere; Euler-Maclaurin uses the head length
+    max(20, ceil(|sigma|) + 10) and grows the correction order until the
+    first-omitted-term bound clears the target.
     """
     a = check_shift(a)
     sigma = float(sigma)
     if sigma == 1.0:
         raise PoleError("zeta(s, a) has a pole at s = 1")
+    target = params.target_abs_error
+    if (sigma < FOURIER_CROSSOVER and cutoff is None
+            and correction_order is None):
+        if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
+            val = hurwitz_zeta_exact_at_nonpositive_integer(1 - int(sigma),
+                                                            Fraction(a))
+            return EvalResult(value=float(val), error_bound=0.0, cutoff=0,
+                              correction_order=0, path="exact")
+        res = _fourier_float(sigma, a, target, params.max_cutoff)
+        if res is not None:
+            val, bound, terms = res
+            return EvalResult(value=val, error_bound=bound, cutoff=terms,
+                              correction_order=0, path="fourier")
     M = cutoff if cutoff is not None else _default_cutoff(sigma, params)
     if M <= 0:
         raise ValueError("cutoff must be positive")
     kmax = (correction_order if correction_order is not None
             else params.max_correction_order)
-    target = params.target_abs_error
     if _needs_guard_precision(sigma, a, M, target):
         val, bound, k = _em_mpf(sigma, a, M, kmax, target)
+        path = "mpf-em"
     else:
         val, bound, k = _em_float(sigma, a, M, kmax, target)
+        path = "float-em"
     if bound > target and correction_order is None:
         raise AccuracyError(
             f"achieved bound {bound:.3e} exceeds target {target:.3e} "
@@ -222,7 +314,7 @@ def hurwitz_zeta_detailed(
             achieved_bound=bound,
         )
     return EvalResult(value=val, error_bound=bound, cutoff=M,
-                      correction_order=k)
+                      correction_order=k, path=path)
 
 
 def hurwitz_zeta(sigma: float, a: float,
@@ -343,6 +435,9 @@ def integral_representation(
     clears the budget, Q_N is the closed-form rational part, and R_N handles
     (0,1] with the algebraic endpoint weight x^(N+sigma) factored out.
     """
+    # imported here: scipy would dominate the package's cold import time
+    from scipy.integrate import quad
+
     a = check_shift(a)
     sigma = float(sigma)
     _check_strip(N, sigma)

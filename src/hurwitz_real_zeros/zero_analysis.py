@@ -225,31 +225,27 @@ def uniqueness_check(
     refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> int:
-    """Count zeros of zeta(., a) in [-2M-2, -2M): closed left endpoint
-    (tested exactly through the Bernoulli value) plus interior sign changes.
-    The corollary predicts exactly 1 for every M >= 2."""
+    """Count zeros of zeta(., a) in [-2M-2, -2M): sign changes over a
+    closed grid from -2M-2 to -2M, plus an exact zero at a grid point other
+    than the right end.  Both ends take the exact value -B_n(a)/n, whose
+    sign survives even where its float underflows (subnormal a), so a zero
+    next to an end is still bracketed.  The corollary predicts exactly 1
+    for every M >= 2.
+    """
     M = int(M)
     if M < 2:
         raise ValueError("M must be >= 2")
     a = check_shift(a)
     left = -2 * M - 2
-    right = -2 * M
-    endpoint = hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 3,
-                                                         Fraction(a))
-    endpoint_zero = endpoint == 0 or abs(float(endpoint)) < 1e-12
-    count = 1 if endpoint_zero else 0
-    # interior scan; 1e-3 margins keep clear of the (simple) endpoint zeros
-    margin = 1e-3
-    lo = left + margin
-    hi = right - margin
-    f = lambda s: hurwitz_zeta(s, a, params)
-    step = (hi - lo) / (grid_points - 1)
-    prev = f(lo)
-    for i in range(1, grid_points):
-        cur = f(lo + i * step)
-        if cur == 0.0 or (prev < 0.0) != (cur < 0.0):
-            count += 1
-        prev = cur
+    step = 2.0 / (grid_points - 1)
+    ar = Fraction(a)
+    values = [hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 3, ar)]
+    values += [hurwitz_zeta(left + i * step, a, params)
+               for i in range(1, grid_points - 1)]
+    values.append(hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 1, ar))
+    count = sum(1 for v in values[:-1] if v == 0)
+    count += sum(1 for prev, cur in zip(values, values[1:])
+                 if prev != 0 and cur != 0 and (prev < 0) != (cur < 0))
     return count
 
 

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from hurwitz_real_zeros.bernoulli import bernoulli_polynomial, eval_poly
 from hurwitz_real_zeros.hurwitz import (
+    FOURIER_CROSSOVER,
     AccuracyError,
     EvalParams,
     PoleError,
@@ -132,6 +135,63 @@ def test_exact_termination_at_nonpositive_integers():
     # the correction series terminates, so the reported bound collapses
     res = hurwitz_zeta_detailed(-5.0, 0.7)
     assert res.error_bound == 0.0
+
+
+def _mp_zeta(sigma, a):
+    with mpmath.workdps(40):
+        return float(mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a)))
+
+
+def test_evaluator_path_routing():
+    def path(sigma, params=EvalParams(), **kw):
+        return hurwitz_zeta_detailed(sigma, 0.37, params, **kw).path
+    assert path(-2.5) == "float-em"
+    assert path(-7.5) == "fourier"
+    assert path(-5.0) == "exact"
+    assert path(-2.5, EvalParams(target_abs_error=1e-12)) == "mpf-em"
+    assert path(-7.5, cutoff=30) == "mpf-em"
+    assert path(FOURIER_CROSSOVER) == "float-em"
+    # past sigma = -21 float rounding alone would exceed half the target
+    assert path(-25.5) == "mpf-em"
+
+
+def test_fourier_against_mpmath():
+    rng = random.Random(20161025)
+    target = EvalParams().target_abs_error
+    points = [(rng.uniform(-21.0, -3.0), rng.uniform(0.0, 1.0) or 1.0)
+              for _ in range(150)]
+    points += [(rng.uniform(-21.0, -3.0), 1.0) for _ in range(30)]
+    points += [(-3.0 - 1e-9, 0.5), (-20.999, 0.01), (-4.5, 1e-9)]
+    for sigma, a in points:
+        res = hurwitz_zeta_detailed(sigma, a)
+        assert res.path == "fourier"
+        err = abs(res.value - _mp_zeta(sigma, a))
+        assert err <= res.error_bound <= target, (sigma, a, err)
+
+
+def test_float_em_miss_below_crossover():
+    # float Euler-Maclaurin missed the 1e-10 target here by 2.6x
+    sigma, a = -3.4807649152658082, 0.9493694307689811
+    assert abs(hurwitz_zeta(sigma, a) - _mp_zeta(sigma, a)) <= 1e-10
+
+
+def test_continuity_across_crossover():
+    for a in (0.05, 0.37, 0.5, 0.93, 1.0):
+        at = float(hurwitz_zeta_exact_at_nonpositive_integer(4, F(a)))
+        for delta in (1e-12, 1e-9, 1e-6):
+            below = hurwitz_zeta_detailed(FOURIER_CROSSOVER - delta, a)
+            above = hurwitz_zeta_detailed(FOURIER_CROSSOVER + delta, a)
+            assert (below.path, above.path) == ("fourier", "float-em")
+            # |zeta'| < 0.1 on this neighbourhood for 0 < a <= 1
+            slack = 0.1 * delta
+            assert abs(below.value - at) <= below.error_bound + slack
+            assert abs(above.value - at) <= 1e-10 + slack
+
+
+def test_fourier_term_cap():
+    with pytest.raises(AccuracyError) as exc:
+        hurwitz_zeta(-3.01, 0.3, EvalParams(max_cutoff=100))
+    assert exc.value.achieved_bound > 1e-10
 
 
 # ------------------------------------------------------------------ gamma

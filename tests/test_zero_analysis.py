@@ -180,6 +180,24 @@ def test_uniqueness_spot_checks():
     assert uniqueness_check(2, 0.3) == 1
 
 
+@pytest.mark.parametrize("a", [0.4999, 0.5001, 0.49999, 0.50001, 0.9999,
+                               0.999999, 0.0005, 0.0001])
+def test_uniqueness_zero_next_to_endpoint(a):
+    # the zero sits within 1e-3 of -2M-2 or -2M (near -5.9996 for
+    # a = 0.4999, near -4.0003 for a = 0.5001)
+    for M in range(2, 6):
+        assert uniqueness_check(M, a) == 1, M
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.integers(min_value=2, max_value=5),
+    a=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_uniqueness_count_is_one(M, a):
+    assert uniqueness_check(M, a) == 1
+
+
 def test_uniqueness_validation():
     with pytest.raises(ValueError):
         uniqueness_check(1, 0.5)
