@@ -42,11 +42,11 @@ from .zero_analysis import (
     LocatedZero,
     VerificationReport,
     ZeroPrediction,
-    ZeroReport,
     locate_zeros,
     polynomial_roots_in_unit,
     predict_zero,
     predict_zero_explicit,
+    scan_grid,
     spira_region_bound,
     uniqueness_check,
     verify_theorem,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -32,6 +31,7 @@ from .zero_analysis import (
     locate_zeros,
     predict_zero,
     predict_zero_explicit,
+    scan_grid,
     uniqueness_check,
     verify_theorem,
 )
@@ -65,10 +65,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _json_header(config: RunConfig) -> dict:
-    return {"version": __version__, "config": asdict(config)}
-
-
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         target_abs_error=args.tol,
@@ -84,25 +80,40 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _emit(args, cfg: RunConfig, fields: dict, header, rows, table,
+          plot=None) -> None:
+    """Print one command's result in the requested --format.
+
+    json prints `fields` under the version and run configuration; csv
+    prints `header` and `rows`; table prints the `table` lines; plot-xy
+    prints the `plot` lines, or the table for commands without a plot form.
+    """
+    if args.format == "json":
+        out = {"version": __version__, "config": asdict(cfg)}
+        out.update(fields)
+        print(json.dumps(out, sort_keys=True))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        lines = plot if args.format == "plot-xy" and plot else table
+        for line in lines:
+            print(line)
+
+
 def _cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     res = hurwitz_zeta_detailed(args.sigma, args.a, cfg.eval_params())
     d = cfg.digits
-    if args.format == "json":
-        out = _json_header(cfg)
-        out.update(sigma=args.sigma, a=args.a, value=res.value,
-                   error_bound=res.error_bound)
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        print("sigma,a,value,error_bound")
-        print(f"{_fmt(args.sigma, d)},{_fmt(args.a, d)},"
-              f"{_fmt(res.value, d)},{_fmt(res.error_bound, 3)}")
-    elif args.format == "plot-xy":
-        print(f"# zeta(sigma, a={_fmt(args.a, d)})")
-        print(f"{_fmt(args.sigma, d)} {_fmt(res.value, d)}")
-    else:
-        print(f"zeta({_fmt(args.sigma, d)}, {_fmt(args.a, d)}) = "
-              f"{_fmt(res.value, d)}  (error bound {_fmt(res.error_bound, 3)})")
+    sigma, a, value = _fmt(args.sigma, d), _fmt(args.a, d), _fmt(res.value, d)
+    bound = _fmt(res.error_bound, 3)
+    _emit(args, cfg,
+          dict(sigma=args.sigma, a=args.a, value=res.value,
+               error_bound=res.error_bound),
+          ["sigma", "a", "value", "error_bound"], [[sigma, a, value, bound]],
+          [f"zeta({sigma}, {a}) = {value}  (error bound {bound})"],
+          [f"# zeta(sigma, a={a})", f"{sigma} {value}"])
     return EXIT_OK
 
 
@@ -119,22 +130,11 @@ def _cmd_roots(args) -> int:
         pair = even_roots(n, cfg.refine_tol)
         b_minus, b_plus = pair.b_minus, pair.b_plus
         note = ""
-    if args.format == "json":
-        out = _json_header(cfg)
-        out.update(n=n, b_minus=b_minus, b_plus=b_plus, note=note)
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        print("n,b_minus,b_plus,note")
-        print(f"{n},{_fmt(b_minus, d)},{_fmt(b_plus, d)},{note}")
-    elif args.format == "plot-xy":
-        print(f"# roots of Bernoulli polynomial n={n}")
-        print(f"{_fmt(b_minus, d)} 0")
-        print(f"{_fmt(b_plus, d)} 0")
-    else:
-        print(f"b{n}^- = {_fmt(b_minus, d)}")
-        print(f"b{n}^+ = {_fmt(b_plus, d)}")
-        if note:
-            print(note)
+    lo, hi = _fmt(b_minus, d), _fmt(b_plus, d)
+    _emit(args, cfg, dict(n=n, b_minus=b_minus, b_plus=b_plus, note=note),
+          ["n", "b_minus", "b_plus", "note"], [[n, lo, hi, note]],
+          [f"b{n}^- = {lo}", f"b{n}^+ = {hi}"] + ([note] if note else []),
+          [f"# roots of Bernoulli polynomial n={n}", f"{lo} 0", f"{hi} 0"])
     return EXIT_OK
 
 
@@ -151,35 +151,30 @@ def _cmd_predict(args) -> int:
             explicit_note = f"explicit form indeterminate: {exc}"
     mismatch = (explicit is not None and pred.exists != BOUNDARY
                 and explicit != (pred.exists == YES))
-    if args.format == "json":
-        out = _json_header(cfg)
-        out.update(N=pred.N, a=pred.a, exists=pred.exists,
-                   b_left=_frac_str(pred.b_left),
-                   b_right=_frac_str(pred.b_right),
-                   explicit=explicit, explicit_note=explicit_note,
-                   mismatch=mismatch)
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        print("N,a,exists,B_left,B_right,explicit,mismatch")
-        print(f"{pred.N},{_fmt(pred.a, d)},{pred.exists},"
-              f"{_frac_str(pred.b_left)},{_frac_str(pred.b_right)},"
-              f"{explicit},{mismatch}")
-    else:
-        print(f"interval (-{pred.N + 1}, {-pred.N}): {pred.exists}")
-        for idx, val in ((pred.N + 1, pred.b_left),
-                         (pred.N + 2, pred.b_right)):
-            # exact p/q only when it is readable; float a inputs produce
-            # denominators around 2^52 that help nobody at a terminal
-            if val.denominator <= 10 ** 12:
-                print(f"B_{idx}(a) = {_frac_str(val)} = {_fmt(val, d)}")
-            else:
-                print(f"B_{idx}(a) = {_fmt(val, d)}")
-        if explicit is not None:
-            print(f"explicit range classification: {explicit}")
-        if explicit_note:
-            print(explicit_note)
-        if mismatch:
-            print("WARNING: explicit form disagrees with the product sign")
+    b_left, b_right = _frac_str(pred.b_left), _frac_str(pred.b_right)
+    table = [f"interval (-{pred.N + 1}, {-pred.N}): {pred.exists}"]
+    for idx, val in ((pred.N + 1, pred.b_left), (pred.N + 2, pred.b_right)):
+        # exact p/q only when it is readable; float a inputs produce
+        # denominators around 2^52 that help nobody at a terminal
+        if val.denominator <= 10 ** 12:
+            table.append(f"B_{idx}(a) = {_frac_str(val)} = {_fmt(val, d)}")
+        else:
+            table.append(f"B_{idx}(a) = {_fmt(val, d)}")
+    if explicit is not None:
+        table.append(f"explicit range classification: {explicit}")
+    if explicit_note:
+        table.append(explicit_note)
+    if mismatch:
+        table.append("WARNING: explicit form disagrees with the product sign")
+    _emit(args, cfg,
+          dict(N=pred.N, a=pred.a, exists=pred.exists, b_left=b_left,
+               b_right=b_right, explicit=explicit,
+               explicit_note=explicit_note, mismatch=mismatch),
+          ["N", "a", "exists", "B_left", "B_right", "explicit", "mismatch"],
+          # str(): the csv module writes None as an empty cell
+          [[pred.N, _fmt(pred.a, d), pred.exists, b_left, b_right,
+            str(explicit), mismatch]],
+          table)
     return EXIT_OK
 
 
@@ -187,130 +182,84 @@ def _cmd_scan(args) -> int:
     cfg = _config_from_args(args)
     d = cfg.digits
     params = cfg.eval_params()
+    a = _fmt(args.a, d)
     if args.curve:
-        left = -args.N - 1
-        right = -args.N
-        margin = min(1e-4, cfg.refine_tol * 10.0)
-        lo = left + margin
-        hi = right - (1e-2 if args.N == -1 else margin)
-        print(f"# zeta(sigma, a={_fmt(args.a, d)}) on ({left}, {right})")
-        step = (hi - lo) / (cfg.grid_points - 1)
-        for i in range(cfg.grid_points):
-            s = lo + i * step
+        sigmas = scan_grid(args.N, cfg.grid_points, cfg.refine_tol)
+        print(f"# zeta(sigma, a={a}) on ({-args.N - 1}, {-args.N})")
+        for s in sigmas:
             print(f"{_fmt(s, d)} {_fmt(hurwitz_zeta(s, args.a, params), d)}")
         return EXIT_OK
     zeros = locate_zeros(args.N, args.a, cfg.grid_points, cfg.refine_tol,
                          params)
-    if args.format == "json":
-        out = _json_header(cfg)
-        out.update(N=args.N, a=args.a,
-                   zeros=[asdict(z) for z in zeros])
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        print("N,a,sigma,bracket_halfwidth,residual")
-        for z in zeros:
-            print(f"{args.N},{_fmt(args.a, d)},{_fmt(z.sigma, d)},"
-                  f"{_fmt(z.bracket_halfwidth, 3)},{_fmt(z.residual, 3)}")
-    elif args.format == "plot-xy":
-        print(f"# zeros of zeta(sigma, a={_fmt(args.a, d)}) "
-              f"in (-{args.N + 1}, {-args.N})")
-        for z in zeros:
-            print(f"{_fmt(z.sigma, d)} 0")
-    else:
-        if not zeros:
-            print(f"no zeros found in (-{args.N + 1}, {-args.N})")
-        for z in zeros:
-            print(f"zero at sigma = {_fmt(z.sigma, d)}  "
-                  f"(bracket +/- {_fmt(z.bracket_halfwidth, 3)}, "
-                  f"residual {_fmt(z.residual, 3)})")
+    interval = f"(-{args.N + 1}, {-args.N})"
+    rows = [[args.N, a, _fmt(z.sigma, d), _fmt(z.bracket_halfwidth, 3),
+             _fmt(z.residual, 3)] for z in zeros]
+    table = [f"zero at sigma = {sigma}  (bracket +/- {halfwidth}, "
+             f"residual {residual})"
+             for _, _, sigma, halfwidth, residual in rows]
+    _emit(args, cfg, dict(N=args.N, a=args.a,
+                          zeros=[asdict(z) for z in zeros]),
+          ["N", "a", "sigma", "bracket_halfwidth", "residual"], rows,
+          table or [f"no zeros found in {interval}"],
+          [f"# zeros of zeta(sigma, a={a}) in {interval}"]
+          + [f"{row[2]} 0" for row in rows])
     return EXIT_OK
-
-
-def _a_grid_from_step(astep: float):
-    if not 0.0 < astep < 1.0:
-        raise ValueError("a-step must satisfy 0 < astep < 1")
-    grid = []
-    k = 1
-    while k * astep < 1.0 - 1e-12:
-        grid.append(k * astep)
-        k += 1
-    return grid
-
-
-def _verify_csv(report, digits: int) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["N", "a", "B_left", "B_right", "predicted", "zeros_found",
-                "sigmas", "agrees", "note"])
-    for c in report.cases:
-        sigmas = ";".join(_fmt(z.sigma, digits) for z in c.zeros)
-        agrees = "" if c.agrees is None else str(c.agrees).lower()
-        w.writerow([c.N, _fmt(c.a, digits), _frac_str(c.b_left),
-                    _frac_str(c.b_right), c.predicted, len(c.zeros),
-                    sigmas, agrees, c.note])
-    return buf.getvalue()
 
 
 def _cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     d = cfg.digits
-    if args.nmin < -1 or args.nmax < args.nmin:
-        raise ValueError("need -1 <= nmin <= nmax")
-    grid = _a_grid_from_step(args.astep)
+    if not 0.0 < args.astep < 1.0:
+        raise ValueError("a-step must satisfy 0 < astep < 1")
+    grid = []
+    k = 1
+    while k * args.astep < 1.0 - 1e-12:
+        grid.append(k * args.astep)
+        k += 1
+    params = cfg.eval_params()
     report = verify_theorem(grid, args.nmin, args.nmax,
                             exclusion_delta=cfg.exclusion_delta,
                             grid_points=cfg.grid_points,
-                            refine_tol=cfg.refine_tol,
-                            params=cfg.eval_params())
-    uniq_rows = []
-    uniq_bad = 0
+                            refine_tol=cfg.refine_tol, params=params)
+    uniq = []
     if args.uniqueness:
         m_lo = max(2, math.ceil(max(args.nmin, 0) / 2))
         m_hi = max(m_lo, (args.nmax - 1) // 2)
-        for m in range(m_lo, m_hi + 1):
-            for a in grid:
-                count = uniqueness_check(m, a, cfg.grid_points,
-                                         cfg.refine_tol, cfg.eval_params())
-                uniq_rows.append((m, a, count))
-                if count != 1:
-                    uniq_bad += 1
-    disagree = report.n_disagree + uniq_bad
-    if args.format == "json":
-        out = _json_header(cfg)
-        out.update(
-            nmin=args.nmin, nmax=args.nmax, astep=args.astep,
-            agree=report.n_agree, disagree=report.n_disagree,
-            skipped=report.n_skipped,
-            cases=[{
-                "N": c.N, "a": c.a,
-                "B_left": _frac_str(c.b_left),
-                "B_right": _frac_str(c.b_right),
-                "predicted": c.predicted,
-                "zeros": [z.sigma for z in c.zeros],
-                "agrees": c.agrees, "note": c.note,
-            } for c in report.cases],
-            uniqueness=[{"M": m, "a": a, "count": n}
-                        for (m, a, n) in uniq_rows],
-        )
-        print(json.dumps(out, sort_keys=True))
-    elif args.format == "csv":
-        sys.stdout.write(_verify_csv(report, d))
-    else:
-        print(f"theorem sweep N in [{args.nmin}, {args.nmax}], "
-              f"a step {_fmt(args.astep, d)}")
-        for c in report.cases:
-            sigmas = ";".join(_fmt(z.sigma, d) for z in c.zeros)
-            flag = ("ok" if c.agrees else
-                    "skip" if c.agrees is None else "DISAGREE")
-            print(f"  N={c.N:>2} a={_fmt(c.a, 6):>8} "
-                  f"predicted={c.predicted:<8} zeros={len(c.zeros)} "
-                  f"[{sigmas}] {flag}")
-        print(f"agree={report.n_agree} disagree={report.n_disagree} "
-              f"skipped={report.n_skipped}")
-        for (m, a, n) in uniq_rows:
-            mark = "ok" if n == 1 else "FAIL"
-            print(f"  uniqueness M={m} a={_fmt(a, 6)}: count={n} {mark}")
-    return EXIT_DISAGREE if disagree else EXIT_OK
+        uniq = [(m, a, uniqueness_check(m, a, cfg.grid_points, params))
+                for m in range(m_lo, m_hi + 1) for a in grid]
+    cases, rows = [], []
+    table = [f"theorem sweep N in [{args.nmin}, {args.nmax}], "
+             f"a step {_fmt(args.astep, d)}"]
+    for c in report.cases:
+        b_left, b_right = _frac_str(c.b_left), _frac_str(c.b_right)
+        sigmas = ";".join(_fmt(z.sigma, d) for z in c.zeros)
+        cases.append({"N": c.N, "a": c.a, "B_left": b_left,
+                      "B_right": b_right, "predicted": c.predicted,
+                      "zeros": [z.sigma for z in c.zeros],
+                      "agrees": c.agrees, "note": c.note})
+        agrees = "" if c.agrees is None else str(c.agrees).lower()
+        rows.append([c.N, _fmt(c.a, d), b_left, b_right, c.predicted,
+                     len(c.zeros), sigmas, agrees, c.note])
+        flag = ("ok" if c.agrees else
+                "skip" if c.agrees is None else "DISAGREE")
+        table.append(f"  N={c.N:>2} a={_fmt(c.a, 6):>8} "
+                     f"predicted={c.predicted:<8} zeros={len(c.zeros)} "
+                     f"[{sigmas}] {flag}")
+    table.append(f"agree={report.n_agree} disagree={report.n_disagree} "
+                 f"skipped={report.n_skipped}")
+    table += [f"  uniqueness M={m} a={_fmt(a, 6)}: count={n} "
+              f"{'ok' if n == 1 else 'FAIL'}" for (m, a, n) in uniq]
+    _emit(args, cfg,
+          dict(nmin=args.nmin, nmax=args.nmax, astep=args.astep,
+               agree=report.n_agree, disagree=report.n_disagree,
+               skipped=report.n_skipped, cases=cases,
+               uniqueness=[{"M": m, "a": a, "count": n}
+                           for (m, a, n) in uniq]),
+          ["N", "a", "B_left", "B_right", "predicted", "zeros_found",
+           "sigmas", "agrees", "note"], rows, table)
+    if report.n_disagree or any(n != 1 for (_, _, n) in uniq):
+        return EXIT_DISAGREE
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boundary exclusion distance for sweeps")
 
     p = sub.add_parser("eval", help="evaluate zeta(sigma, a)")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=float, required=True,
+                   help="real argument; write a negative value in exponent "
+                        "form as --sigma=-2.5e-05")
     p.add_argument("--a", type=float, required=True)
     common(p)
     p.set_defaults(func=_cmd_eval)

@@ -34,11 +34,11 @@ __all__ = [
     "BOUNDARY",
     "ZeroPrediction",
     "LocatedZero",
-    "ZeroReport",
     "CaseResult",
     "VerificationReport",
     "predict_zero",
     "predict_zero_explicit",
+    "scan_grid",
     "locate_zeros",
     "spira_region_bound",
     "uniqueness_check",
@@ -65,14 +65,6 @@ class LocatedZero:
     sigma: float
     bracket_halfwidth: float
     residual: float
-
-
-@dataclass(frozen=True)
-class ZeroReport:
-    prediction: ZeroPrediction
-    zeros: Tuple[LocatedZero, ...]
-    agrees: Optional[bool]
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -151,10 +143,20 @@ def predict_zero_explicit(N: int, a: float, root_tol: float = 1e-13) -> bool:
     return (pair.b_minus < a < 0.5) or (pair.b_plus < a < 1.0)
 
 
-def _scan_margins(N: int, refine_tol: float) -> Tuple[float, float]:
+def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
+    """The sigma values locate_zeros samples in (-N-1, -N): grid_points
+    equally spaced points from min(1e-4, 10 * refine_tol) inside each end,
+    1e-2 inside the right end for N = -1 (the pole at sigma = 1)."""
+    N = _check_interval_index(N)
+    if grid_points < 16:
+        raise ValueError("grid_points must be >= 16")
+    if refine_tol <= 0:
+        raise ValueError("refine_tol must be positive")
     margin = min(1e-4, refine_tol * 10.0)
-    right = 1e-2 if N == -1 else margin  # pole at sigma = 1
-    return margin, right
+    lo = -N - 1 + margin
+    hi = -N - (1e-2 if N == -1 else margin)
+    step = (hi - lo) / (grid_points - 1)
+    return [lo + i * step for i in range(grid_points)]
 
 
 def _refine_sign_change(f, lo, hi, flo, fhi, tol) -> LocatedZero:
@@ -184,22 +186,13 @@ def locate_zeros(
 ) -> List[LocatedZero]:
     """Numeric witness: scan zeta(., a) over (-N-1, -N) and refine each sign
     change by bisection to bracket half-width <= refine_tol."""
-    N = _check_interval_index(N)
+    grid = scan_grid(N, grid_points, refine_tol)
     a = check_shift(a)
-    if grid_points < 16:
-        raise ValueError("grid_points must be >= 16")
-    if refine_tol <= 0:
-        raise ValueError("refine_tol must be positive")
-    left_m, right_m = _scan_margins(N, refine_tol)
-    lo = -N - 1 + left_m
-    hi = -N - right_m
     f = lambda s: hurwitz_zeta(s, a, params)
-    step = (hi - lo) / (grid_points - 1)
     zeros: List[LocatedZero] = []
-    prev_x = lo
-    prev_f = f(lo)
-    for i in range(1, grid_points):
-        x = lo + i * step
+    prev_x = grid[0]
+    prev_f = f(prev_x)
+    for x in grid[1:]:
         fx = f(x)
         if fx == 0.0:
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
@@ -222,7 +215,6 @@ def uniqueness_check(
     M: int,
     a: float,
     grid_points: int = 512,
-    refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> int:
     """Count zeros of zeta(., a) in [-2M-2, -2M): sign changes over a
@@ -235,6 +227,8 @@ def uniqueness_check(
     M = int(M)
     if M < 2:
         raise ValueError("M must be >= 2")
+    if grid_points < 16:
+        raise ValueError("grid_points must be >= 16")
     a = check_shift(a)
     left = -2 * M - 2
     step = 2.0 / (grid_points - 1)
@@ -279,24 +273,22 @@ def verify_case(
 ) -> CaseResult:
     """One (N, a) cell of the theorem sweep."""
     pred = predict_zero(N, a)
+    zeros, agrees = (), None
     if _case_boundary_distance(N, a) <= exclusion_delta:
-        return CaseResult(N=N, a=float(a), b_left=pred.b_left,
-                          b_right=pred.b_right, predicted=pred.exists,
-                          zeros=(), agrees=None,
-                          note="skipped: a within delta of a polynomial root")
-    try:
-        zeros = tuple(locate_zeros(N, a, grid_points, refine_tol, params))
-    except AccuracyError as exc:
-        return CaseResult(N=N, a=float(a), b_left=pred.b_left,
-                          b_right=pred.b_right, predicted=pred.exists,
-                          zeros=(), agrees=None,
-                          note=f"skipped: evaluator accuracy failure ({exc})")
-    if pred.exists == BOUNDARY:
-        agrees = None
-        note = "boundary: product exactly zero, excluded from statistics"
+        note = "skipped: a within delta of a polynomial root"
     else:
-        agrees = (pred.exists == YES) == (len(zeros) > 0)
-        note = "" if agrees else "DISAGREEMENT"
+        try:
+            zeros = tuple(locate_zeros(N, a, grid_points, refine_tol,
+                                       params))
+        except AccuracyError as exc:
+            note = f"skipped: evaluator accuracy failure ({exc})"
+        else:
+            if pred.exists == BOUNDARY:
+                note = ("boundary: product exactly zero, excluded from "
+                        "statistics")
+            else:
+                agrees = (pred.exists == YES) == (len(zeros) > 0)
+                note = "" if agrees else "DISAGREEMENT"
     return CaseResult(N=N, a=float(a), b_left=pred.b_left,
                       b_right=pred.b_right, predicted=pred.exists,
                       zeros=zeros, agrees=agrees, note=note)

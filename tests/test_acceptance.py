@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the theorem sweep and uniqueness checks dominate the runtime
-(a couple of minutes on one core).
+(about five seconds on one core).
 """
 
 import csv

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,16 @@ def test_roots_odd_exact(capsys):
     assert "exact" in out
 
 
+def test_roots_csv_rows_match_header(capsys):
+    # the odd-n note contains commas, so it must be quoted to stay one field
+    for n in ("2", "3"):
+        code, out, _ = run(capsys, "roots", "--n", n, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert all(len(row) == 4 for row in rows)
+
+
 def test_roots_rejects_small_n(capsys):
     code, _, _ = run(capsys, "roots", "--n", "1")
     assert code == 2
@@ -130,6 +141,22 @@ def test_scan_curve_plot_xy(capsys):
     for line in lines[1:]:
         x, y = line.split()
         float(x), float(y)
+
+
+@pytest.mark.parametrize("grid", ["1", "0"])
+def test_scan_curve_rejects_small_grid(capsys, grid):
+    code, out, err = run(capsys, "scan", "--N", "0", "--a", "0.3", "--curve",
+                         "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert "domain error: grid_points must be >= 16" in err
+
+
+def test_scan_curve_rejects_bad_interval_index(capsys):
+    code, out, err = run(capsys, "scan", "--N", "-2", "--a", "0.3", "--curve")
+    assert code == 2
+    assert out == ""
+    assert "interval index" in err
 
 
 # ----------------------------------------------------------------- verify
@@ -196,3 +223,17 @@ def test_verify_rejects_bad_range(capsys):
     code, _, _ = run(capsys, "verify", "--nmin", "-2", "--nmax", "1",
                      "--astep", "0.3")
     assert code == 2
+
+
+# ----------------------------------------------------------------- golden
+
+# stdout and exit code of every command in every --format.  After an
+# intended output change, rewrite the changed entries from main(argv).
+GOLDEN = json.loads(
+    Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["argv"] for c in GOLDEN])
+def test_golden_output(capsys, case):
+    code, out, _ = run(capsys, *case["argv"].split())
+    assert (code, out) == (case["code"], case["out"])

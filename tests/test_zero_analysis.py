@@ -203,6 +203,12 @@ def test_uniqueness_validation():
         uniqueness_check(1, 0.5)
 
 
+@pytest.mark.parametrize("grid_points", [15, 1, 0])
+def test_uniqueness_rejects_small_grid(grid_points):
+    with pytest.raises(ValueError, match="grid_points"):
+        uniqueness_check(2, 0.3, grid_points=grid_points)
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_verify_small_sweep_agrees():
