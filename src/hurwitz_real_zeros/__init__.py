@@ -30,6 +30,7 @@ from .hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
+    hurwitz_zeta_many,
     integral_representation,
     integrand_G,
     riemann_zeta,

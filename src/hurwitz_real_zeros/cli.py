@@ -22,8 +22,8 @@ from .hurwitz import (
     EvalParams,
     PoleError,
     StripError,
-    hurwitz_zeta,
     hurwitz_zeta_detailed,
+    hurwitz_zeta_many,
 )
 from .zero_analysis import (
     BOUNDARY,
@@ -185,9 +185,10 @@ def _cmd_scan(args) -> int:
     a = _fmt(args.a, d)
     if args.curve:
         sigmas = scan_grid(args.N, cfg.grid_points, cfg.refine_tol)
+        values, _ = hurwitz_zeta_many(sigmas, args.a, params)
         print(f"# zeta(sigma, a={a}) on ({-args.N - 1}, {-args.N})")
-        for s in sigmas:
-            print(f"{_fmt(s, d)} {_fmt(hurwitz_zeta(s, args.a, params), d)}")
+        for s, v in zip(sigmas, values):
+            print(f"{_fmt(s, d)} {_fmt(v, d)}")
         return EXIT_OK
     zeros = locate_zeros(args.N, args.a, cfg.grid_points, cfg.refine_tol,
                          params)

@@ -18,7 +18,18 @@ field of `EvalResult` names the one that served a call):
   guarded `mpf-em` serves instead.
 
 Explicit `cutoff` or `correction_order` overrides always run
-Euler-Maclaurin.  The returned value is always an ordinary float.
+Euler-Maclaurin.  The returned value is always an ordinary float.  sigma
+must be finite; where the head sum's peak magnitude overflows a float, the
+call raises `AccuracyError` with an infinite bound.
+
+`hurwitz_zeta_many(sigmas, a)` evaluates a grid in one call.  It runs the
+same dispatch as the scalar `hurwitz_zeta_detailed` at each point, and
+returns the same values and bounds bit for bit, but computes what does not
+depend on sigma once per grid: the head bases n + a per cutoff, the float
+Euler-Maclaurin coefficients B_2k/(2k)! (cached per k for the process), and
+the Fourier angles 2 pi (k a mod 1) up to the most terms a point needs.  It
+stays in pure Python: importing numpy costs more set-up time and memory
+than a scan.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
@@ -48,6 +59,7 @@ __all__ = [
     "check_shift",
     "hurwitz_zeta",
     "hurwitz_zeta_detailed",
+    "hurwitz_zeta_many",
     "hurwitz_zeta_exact_at_nonpositive_integer",
     "riemann_zeta",
     "gamma_real",
@@ -141,13 +153,22 @@ def _default_cutoff(sigma: float, params: EvalParams) -> int:
     return min(params.max_cutoff, max(20, math.ceil(abs(sigma)) + 10))
 
 
-def _correction_loop(s, q, total, kmax, kmin, target, to_float):
+@lru_cache(maxsize=None)
+def _em_coef(j: int) -> float:
+    """B_j / j! as float(numerator) / denominator / j!; the float
+    Euler-Maclaurin values depend on this rounding order."""
+    b = bernoulli_number(j)
+    return float(b.numerator) / b.denominator / math.factorial(j)
+
+
+def _correction_loop(s, q, total, kmax, kmin, target, coef):
     """Shared Euler-Maclaurin correction loop (float or mpf arithmetic).
 
     Adds T_k = B_2k/(2k)! * (s)(s+1)...(s+2k-2) * q^(-s-2k+1) for k = 1..,
     bounding the remainder after K terms by |T_(K+1)| (valid once
-    sigma + 2K + 1 > 0).  Returns the partial sum at the best bound seen,
-    so the reported bound is monotone in the order cap.
+    sigma + 2K + 1 > 0).  `coef(j)` is B_j/j! in the loop's arithmetic.
+    Returns the partial sum at the best bound seen, so the reported bound
+    is monotone in the order cap.
     """
     poch = s
     tpow = q ** (-s - 1)
@@ -156,18 +177,15 @@ def _correction_loop(s, q, total, kmax, kmin, target, to_float):
     best_val = total
     best_k = 0
     val = total
+    c = coef(2)
     for k in range(1, kmax + 1):
-        bk = bernoulli_number(2 * k)
-        val = val + (type(q)(bk.numerator) / bk.denominator
-                     / math.factorial(2 * k)) * poch * tpow
+        val = val + c * poch * tpow
         poch = poch * (s + 2 * k - 1) * (s + 2 * k)
         tpow = tpow * qm2
         if 2 * k + 2 > RATIONAL_CAP:
             break
-        bn = bernoulli_number(2 * k + 2)
-        nxt = abs((type(q)(bn.numerator) / bn.denominator
-                   / math.factorial(2 * k + 2)) * poch * tpow)
-        bound = to_float(nxt)
+        c = coef(2 * k + 2)
+        bound = float(abs(c * poch * tpow))
         if k >= kmin and bound < best_bound:
             best_bound = bound
             best_val = val
@@ -175,17 +193,6 @@ def _correction_loop(s, q, total, kmax, kmin, target, to_float):
             if bound <= target:
                 break
     return best_val, best_bound, best_k
-
-
-def _em_float(sigma: float, a: float, M: int, kmax: int, target: float):
-    q = M + a
-    head = math.fsum((n + a) ** -sigma for n in range(M))
-    total = head + q ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * q ** -sigma
-    kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-    val, bound, k = _correction_loop(
-        sigma, q, total, kmax, kmin, target, float
-    )
-    return val, bound, k
 
 
 def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
@@ -200,10 +207,14 @@ def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
         for n in range(M):
             head += (mpf(n) + af) ** -s
         total = head + q ** (1 - s) / (s - 1) + q ** -s / 2
+
+        def coef(j):
+            b = bernoulli_number(j)
+            return mpf(b.numerator) / b.denominator / math.factorial(j)
+
         kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        val, bound, k = _correction_loop(
-            s, q, total, kmax, kmin, target, float
-        )
+        val, bound, k = _correction_loop(s, q, total, kmax, kmin, target,
+                                         coef)
         return float(val), bound, k
 
 
@@ -212,55 +223,127 @@ def _needs_guard_precision(sigma: float, a: float, M: int,
     # Largest intermediate magnitude: head terms for sigma < 0, the leading
     # term a^-sigma for sigma > 0.  Rounding ~ eps * magnitude * sqrt(M)
     # must stay well under the absolute target.
-    if sigma < 0.0:
-        peak = (M + a) ** -sigma
-    else:
-        peak = a ** -sigma
+    try:
+        peak = (M + a) ** -sigma if sigma < 0.0 else a ** -sigma
+    except OverflowError:
+        raise AccuracyError(
+            f"head-sum magnitude overflows a float at sigma={sigma}, a={a}",
+            achieved_bound=math.inf,
+        ) from None
     return _EPS * peak * math.sqrt(M + 4) > target / 2.0
 
 
-def _fourier_float(sigma: float, a: float, target: float, max_terms: int):
-    """Hurwitz's formula in floats, for sigma < -3 (the rounding bound
-    below assumes s > 4).
+class _Evaluator:
+    """zeta(., a) under one `EvalParams`.
 
-    With s = 1 - sigma > 1 and 0 < a <= 1,
-    zeta(sigma, a) = pref * sum_(k>=1) cos(pi s/2 - 2 pi k a) / k^s with
-    pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  The first n terms are
-    summed, n least with tail bound pref * n^(1-s)/(s-1) <= target/2.
-    Returns (value, error_bound, n), the bound being the tail plus float
-    rounding, or None when the rounding bound alone exceeds target/2.
-    Raises AccuracyError when n would exceed `max_terms`.
+    Work that does not depend on sigma is done once per instance: the head
+    bases n + a for each cutoff, and the Fourier angles 2 pi (k a mod 1),
+    extended to the most terms any sigma has needed.  Calling it at sigma
+    returns (value, error_bound, cutoff, correction_order, path).
     """
-    s = 1.0 - sigma
-    if s > 170.0:
-        return None  # Gamma(s) overflows; rounding passed any target long ago
-    pref = 2.0 * math.gamma(s) / _TWO_PI ** s
-    # First-order rounding, in ulps of pref, for s > 4 (so sum k^-s < 1.09,
-    # sum k^(1-s) < 1.21) and n <= max_terms: the rounded s (s/2 ulps times
-    # log s + log n + 4 for the slope of each term), the cosine argument
-    # (pi s + pi k + 11 ulps, k*a included), k^-s and the product (1.5),
-    # the correctly rounded fsum (0.5) and pref itself (22.5 + s/2, Gamma
-    # taken as good to 20 ulps).
-    rounding = _EPS * pref * (s * (math.log(s * max_terms) + 12.0) + 44.0)
-    if rounding > target / 2.0:
-        return None
-    n = max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
-                         ** (1.0 / (s - 1.0))))
-    if n > max_terms:
-        tail = pref * max_terms ** (1.0 - s) / (s - 1.0)
-        raise AccuracyError(
-            f"Fourier series needs {n} terms, over the cap {max_terms}, "
-            f"at sigma={sigma}, a={a}",
-            achieved_bound=tail + rounding,
-        )
-    tail = pref * n ** (1.0 - s) / (s - 1.0)
-    if tail > target / 2.0:  # the rounded root fell just short
-        n += 1
+
+    def __init__(self, a: float, params: EvalParams):
+        self.a = check_shift(a)
+        self.params = params
+        self._bases = {}
+        self._angles = [0.0]  # index k; k = 0 is never summed
+
+    def __call__(self, sigma: float, cutoff: Optional[int] = None,
+                 correction_order: Optional[int] = None):
+        a = self.a
+        sigma = float(sigma)
+        if not math.isfinite(sigma):
+            raise ValueError("sigma must be finite")
+        if sigma == 1.0:
+            raise PoleError("zeta(s, a) has a pole at s = 1")
+        params = self.params
+        target = params.target_abs_error
+        if (sigma < FOURIER_CROSSOVER and cutoff is None
+                and correction_order is None):
+            if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
+                val = hurwitz_zeta_exact_at_nonpositive_integer(
+                    1 - int(sigma), Fraction(a))
+                return float(val), 0.0, 0, 0, "exact"
+            res = self._fourier(sigma, target, params.max_cutoff)
+            if res is not None:
+                return res
+        M = cutoff if cutoff is not None else _default_cutoff(sigma, params)
+        if M <= 0:
+            raise ValueError("cutoff must be positive")
+        kmax = (correction_order if correction_order is not None
+                else params.max_correction_order)
+        if _needs_guard_precision(sigma, a, M, target):
+            val, bound, k = _em_mpf(sigma, a, M, kmax, target)
+            path = "mpf-em"
+        else:
+            val, bound, k = self._em_float(sigma, M, kmax, target)
+            path = "float-em"
+        if bound > target and correction_order is None:
+            raise AccuracyError(
+                f"achieved bound {bound:.3e} exceeds target {target:.3e} "
+                f"at sigma={sigma}, a={a}",
+                achieved_bound=bound,
+            )
+        return val, bound, M, k, path
+
+    def _em_float(self, sigma: float, M: int, kmax: int, target: float):
+        a = self.a
+        bases = self._bases.get(M)
+        if bases is None:
+            bases = self._bases[M] = [n + a for n in range(M)]
+        q = M + a
+        head = math.fsum([b ** -sigma for b in bases])
+        total = head + q ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * q ** -sigma
+        kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
+        return _correction_loop(sigma, q, total, kmax, kmin, target,
+                                _em_coef)
+
+    def _fourier(self, sigma: float, target: float, max_terms: int):
+        """Hurwitz's formula in floats, for sigma < -3 (the rounding bound
+        below assumes s > 4).
+
+        With s = 1 - sigma > 1 and 0 < a <= 1,
+        zeta(sigma, a) = pref * sum_(k>=1) cos(pi s/2 - 2 pi k a) / k^s with
+        pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  The first n terms
+        are summed, n least with tail bound pref * n^(1-s)/(s-1) <= target/2.
+        Returns the evaluator's result tuple, the bound being the tail plus
+        float rounding, or None when the rounding bound alone exceeds
+        target/2.  Raises AccuracyError when n would exceed `max_terms`.
+        """
+        a = self.a
+        s = 1.0 - sigma
+        if s > 170.0:
+            return None  # Gamma(s) overflows; rounding passed any target
+        pref = 2.0 * math.gamma(s) / _TWO_PI ** s
+        # First-order rounding, in ulps of pref, for s > 4 (so sum k^-s <
+        # 1.09, sum k^(1-s) < 1.21) and n <= max_terms: the rounded s (s/2
+        # ulps times log s + log n + 4 for the slope of each term), the
+        # cosine argument (pi s + pi k + 11 ulps, k*a included), k^-s and
+        # the product (1.5), the correctly rounded fsum (0.5) and pref
+        # itself (22.5 + s/2, Gamma taken as good to 20 ulps).
+        rounding = _EPS * pref * (s * (math.log(s * max_terms) + 12.0) + 44.0)
+        if rounding > target / 2.0:
+            return None
+        n = max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
+                             ** (1.0 / (s - 1.0))))
+        if n > max_terms:
+            tail = pref * max_terms ** (1.0 - s) / (s - 1.0)
+            raise AccuracyError(
+                f"Fourier series needs {n} terms, over the cap {max_terms}, "
+                f"at sigma={sigma}, a={a}",
+                achieved_bound=tail + rounding,
+            )
         tail = pref * n ** (1.0 - s) / (s - 1.0)
-    phase = 0.5 * math.pi * s
-    total = math.fsum(math.cos(phase - _TWO_PI * (k * a % 1.0)) * k ** -s
-                      for k in range(1, n + 1))
-    return pref * total, tail + rounding, n
+        if tail > target / 2.0:  # the rounded root fell just short
+            n += 1
+            tail = pref * n ** (1.0 - s) / (s - 1.0)
+        angles = self._angles
+        for k in range(len(angles), n + 1):
+            angles.append(_TWO_PI * (k * a % 1.0))
+        phase = 0.5 * math.pi * s
+        total = math.fsum([math.cos(phase - angles[k]) * k ** -s
+                           for k in range(1, n + 1)])
+        return pref * total, tail + rounding, n, 0, "fourier"
 
 
 def hurwitz_zeta_detailed(
@@ -279,48 +362,28 @@ def hurwitz_zeta_detailed(
     max(20, ceil(|sigma|) + 10) and grows the correction order until the
     first-omitted-term bound clears the target.
     """
-    a = check_shift(a)
-    sigma = float(sigma)
-    if sigma == 1.0:
-        raise PoleError("zeta(s, a) has a pole at s = 1")
-    target = params.target_abs_error
-    if (sigma < FOURIER_CROSSOVER and cutoff is None
-            and correction_order is None):
-        if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
-            val = hurwitz_zeta_exact_at_nonpositive_integer(1 - int(sigma),
-                                                            Fraction(a))
-            return EvalResult(value=float(val), error_bound=0.0, cutoff=0,
-                              correction_order=0, path="exact")
-        res = _fourier_float(sigma, a, target, params.max_cutoff)
-        if res is not None:
-            val, bound, terms = res
-            return EvalResult(value=val, error_bound=bound, cutoff=terms,
-                              correction_order=0, path="fourier")
-    M = cutoff if cutoff is not None else _default_cutoff(sigma, params)
-    if M <= 0:
-        raise ValueError("cutoff must be positive")
-    kmax = (correction_order if correction_order is not None
-            else params.max_correction_order)
-    if _needs_guard_precision(sigma, a, M, target):
-        val, bound, k = _em_mpf(sigma, a, M, kmax, target)
-        path = "mpf-em"
-    else:
-        val, bound, k = _em_float(sigma, a, M, kmax, target)
-        path = "float-em"
-    if bound > target and correction_order is None:
-        raise AccuracyError(
-            f"achieved bound {bound:.3e} exceeds target {target:.3e} "
-            f"at sigma={sigma}, a={a}",
-            achieved_bound=bound,
-        )
-    return EvalResult(value=val, error_bound=bound, cutoff=M,
-                      correction_order=k, path=path)
+    return EvalResult(*_Evaluator(a, params)(sigma, cutoff, correction_order))
 
 
 def hurwitz_zeta(sigma: float, a: float,
                  params: EvalParams = EvalParams()) -> float:
     """zeta(sigma, a) on the real line, absolute error <= the params target."""
-    return hurwitz_zeta_detailed(sigma, a, params).value
+    return _Evaluator(a, params)(sigma)[0]
+
+
+def hurwitz_zeta_many(sigmas: Iterable[float], a: float,
+                      params: EvalParams = EvalParams()
+                      ) -> Tuple[List[float], List[float]]:
+    """Values and error bounds of `hurwitz_zeta_detailed(sigma, a, params)`
+    at each sigma, in order and bit for bit, as two lists.
+
+    One evaluator serves the whole grid, so the head bases, Euler-Maclaurin
+    coefficients and Fourier angles are computed once, not once per point.
+    The first sigma that fails raises, as a loop of scalar calls would.
+    """
+    at = _Evaluator(a, params)
+    results = [at(sigma) for sigma in sigmas]
+    return [r[0] for r in results], [r[1] for r in results]
 
 
 def riemann_zeta(sigma: float, params: EvalParams = EvalParams()) -> float:

@@ -26,6 +26,7 @@ from .hurwitz import (
     check_shift,
     hurwitz_zeta,
     hurwitz_zeta_exact_at_nonpositive_integer,
+    hurwitz_zeta_many,
 )
 
 __all__ = [
@@ -184,16 +185,16 @@ def locate_zeros(
     refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> List[LocatedZero]:
-    """Numeric witness: scan zeta(., a) over (-N-1, -N) and refine each sign
-    change by bisection to bracket half-width <= refine_tol."""
+    """Numeric witness: evaluate zeta(., a) on `scan_grid` in one
+    `hurwitz_zeta_many` call and refine each sign change by scalar
+    bisection to bracket half-width <= refine_tol."""
     grid = scan_grid(N, grid_points, refine_tol)
     a = check_shift(a)
+    values, _ = hurwitz_zeta_many(grid, a, params)
     f = lambda s: hurwitz_zeta(s, a, params)
     zeros: List[LocatedZero] = []
-    prev_x = grid[0]
-    prev_f = f(prev_x)
-    for x in grid[1:]:
-        fx = f(x)
+    prev_x, prev_f = grid[0], values[0]
+    for x, fx in zip(grid[1:], values[1:]):
         if fx == 0.0:
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
                                      residual=0.0))
@@ -234,8 +235,9 @@ def uniqueness_check(
     step = 2.0 / (grid_points - 1)
     ar = Fraction(a)
     values = [hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 3, ar)]
-    values += [hurwitz_zeta(left + i * step, a, params)
-               for i in range(1, grid_points - 1)]
+    values += hurwitz_zeta_many([left + i * step
+                                 for i in range(1, grid_points - 1)],
+                                a, params)[0]
     values.append(hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 1, ar))
     count = sum(1 for v in values[:-1] if v == 0)
     count += sum(1 for prev, cur in zip(values, values[1:])

@@ -49,6 +49,19 @@ def test_eval_accuracy_failure_exit_code(capsys):
     assert "accuracy" in err
 
 
+@pytest.mark.parametrize("sigma, code", [
+    ("-inf", 2), ("inf", 2), ("nan", 2),
+    ("1e308", 3), ("-1e6", 3), ("-150.5", 3),
+])
+def test_eval_extreme_sigma_exit_code(capsys, sigma, code):
+    got, out, err = run(capsys, "eval", f"--sigma={sigma}", "--a=0.3")
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == "domain error: sigma must be finite\n"
+    else:
+        assert err.startswith("accuracy failure: ")
+
+
 def test_eval_json_embeds_config_and_version(capsys):
     code, out, _ = run(capsys, "eval", "--sigma", "-1", "--a", "1",
                        "--format", "json")
@@ -150,6 +163,16 @@ def test_scan_curve_rejects_small_grid(capsys, grid):
     assert code == 2
     assert out == ""
     assert "domain error: grid_points must be >= 16" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--N", "0", "--a", "1.5"], 2),
+    # the first point, sigma = -4 + 1e-59 = -4.0, is exact; the next fails
+    (["--N", "3", "--a", "0.3", "--tol", "1e-60"], 3),
+])
+def test_scan_curve_failure_prints_nothing(capsys, argv, code):
+    got, out, _ = run(capsys, "scan", *argv, "--curve", "--grid", "16")
+    assert (got, out) == (code, "")
 
 
 def test_scan_curve_rejects_bad_interval_index(capsys):

@@ -5,7 +5,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hurwitz_real_zeros import hurwitz as hurwitz_module
 from hurwitz_real_zeros.bernoulli import bernoulli_polynomial, eval_poly
 from hurwitz_real_zeros.hurwitz import (
     FOURIER_CROSSOVER,
@@ -21,6 +24,7 @@ from hurwitz_real_zeros.hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
+    hurwitz_zeta_many,
     integral_representation,
     integrand_G,
     riemann_zeta,
@@ -192,6 +196,105 @@ def test_fourier_term_cap():
     with pytest.raises(AccuracyError) as exc:
         hurwitz_zeta(-3.01, 0.3, EvalParams(max_cutoff=100))
     assert exc.value.achieved_bound > 1e-10
+
+
+@pytest.mark.parametrize("sigma", [-math.inf, math.inf, math.nan])
+def test_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        hurwitz_zeta_detailed(sigma, 0.3)
+
+
+@pytest.mark.parametrize("sigma", [1e308, -1e6, -150.5])
+def test_guard_peak_overflow_is_accuracy_error(sigma, monkeypatch):
+    # (M + a)^-sigma or a^-sigma overflows a float: no mpmath work is tried
+    def no_mpmath(*args):
+        raise AssertionError("guarded mpmath reached")
+    monkeypatch.setattr(hurwitz_module, "_em_mpf", no_mpmath)
+    with pytest.raises(AccuracyError) as exc:
+        hurwitz_zeta_detailed(sigma, 0.3)
+    assert exc.value.achieved_bound == math.inf
+
+
+# --------------------------------------------------------- grid evaluator
+
+def _assert_many_matches_scalar(sigmas, a, params=EvalParams()):
+    """hurwitz_zeta_many equals a loop of scalar calls bit for bit, or
+    raises what that loop raises first."""
+    try:
+        expected = [hurwitz_zeta_detailed(s, a, params) for s in sigmas]
+    except (AccuracyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            hurwitz_zeta_many(sigmas, a, params)
+        assert str(got.value) == str(exc)
+        if isinstance(exc, AccuracyError):
+            assert got.value.achieved_bound == exc.achieved_bound
+        return None
+    values, bounds = hurwitz_zeta_many(sigmas, a, params)
+    assert [v.hex() for v in values] == [r.value.hex() for r in expected]
+    assert [b.hex() for b in bounds] == [r.error_bound.hex()
+                                         for r in expected]
+    return {r.path for r in expected}
+
+
+@pytest.mark.parametrize("sigma, a, path, value, bound", [
+    (-2.5, 0.37, "float-em",
+     "-0x1.4a36461c5ddefp-7", "0x1.cc98419fb55c0p-37"),
+    (0.5, 0.9, "float-em",
+     "-0x1.5306baf2c1959p+0", "0x1.d72da53d0a565p-35"),
+    (30.0, 1.0, "float-em",
+     "0x1.0000000400016p+0", "0x1.7c0aed6ea43b3p-172"),
+    (-7.5, 0.37, "fourier",
+     "0x1.1c7122d1be607p-13", "0x1.78cc08325c505p-35"),
+    (-25.5, 0.37, "mpf-em",
+     "-0x1.b3cf24a1884d9p+11", "0x1.716dc9385c899p-43"),
+    (-5.0, 0.7, "exact", "0x1.47be9745f137fp-10", "0x0.0p+0"),
+])
+def test_values_frozen_bit_for_bit(sigma, a, path, value, bound):
+    # sweep output is byte-identical across evaluator refactors only while
+    # every rounding step stays the same
+    res = hurwitz_zeta_detailed(sigma, a)
+    assert (res.path, res.value.hex(), res.error_bound.hex()) == (
+        path, value, bound)
+
+
+def test_many_bit_identical_to_scalar():
+    rng = random.Random(20161026)
+    special = ([float(n) for n in range(-29, -3)]
+               + [-3.0, -3.0 - 1e-12, -3.0 + 1e-12, -21.5, -25.5, -29.9])
+    paths = set()
+    for a in (1.0, 0.5, 1e-6, 0.37, rng.uniform(0.0, 1.0) or 1.0):
+        sigmas = [rng.uniform(-30.0, 1.0) for _ in range(200)] + special
+        sigmas += [rng.uniform(0.0, 1.0) for _ in range(10)]
+        rng.shuffle(sigmas)  # Fourier term counts rise and fall
+        paths |= _assert_many_matches_scalar(sigmas, a)
+    # mpf-em serves sigma < -21 and, with a = 1e-6, sigma > 0
+    assert paths == {"float-em", "mpf-em", "fourier", "exact"}
+    # float-em head lengths 20, 21, 22 in one grid
+    assert _assert_many_matches_scalar([0.5, 10.5, 11.5, 0.5], 1.0) == {
+        "float-em"}
+    # a tighter target moves float-em points to mpf-em
+    assert "mpf-em" in _assert_many_matches_scalar([0.5, -2.5, -7.5], 0.3,
+                                                   TIGHT)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-30.0, 0.999), min_size=1, max_size=40),
+       st.floats(1e-9, 1.0))
+def test_many_matches_scalar_random(sigmas, a):
+    _assert_many_matches_scalar(sigmas, a)
+
+
+def test_many_raises_at_first_failing_sigma():
+    # exact points pass at any target; the first inexact one fails
+    params = EvalParams(target_abs_error=1e-60)
+    sigmas = [-5.0, -8.0, -7.5, 0.5, -2.5]
+    with pytest.raises(AccuracyError, match="sigma=-7.5,"):
+        hurwitz_zeta_many(sigmas, 0.3, params)
+    _assert_many_matches_scalar(sigmas, 0.3, params)
+    _assert_many_matches_scalar([-2.5, 0.5], 0.3, params)
+    _assert_many_matches_scalar([-2.5, math.nan, -1e6], 0.3)
+    _assert_many_matches_scalar([-2.5, -1e6, math.nan], 0.3)
+    assert hurwitz_zeta_many([], 0.3) == ([], [])
 
 
 # ------------------------------------------------------------------ gamma

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hurwitz_real_zeros import zero_analysis
 from hurwitz_real_zeros.bernoulli import IndeterminateSign, even_roots
 from hurwitz_real_zeros.hurwitz import (
     EvalParams,
@@ -140,6 +145,39 @@ def test_locate_zeros_validation():
         locate_zeros(1, 0.4, grid_points=8)
     with pytest.raises(ValueError):
         locate_zeros(1, 0.4, refine_tol=-1e-10)
+
+
+def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
+    calls = {"many": [], "scalar": 0}
+    many, scalar = zero_analysis.hurwitz_zeta_many, zero_analysis.hurwitz_zeta
+
+    def count_many(sigmas, *args):
+        calls["many"].append(len(sigmas))
+        return many(sigmas, *args)
+
+    def count_scalar(*args):
+        calls["scalar"] += 1
+        return scalar(*args)
+
+    monkeypatch.setattr(zero_analysis, "hurwitz_zeta_many", count_many)
+    monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
+    assert len(locate_zeros(1, 0.4, 512, 1e-10)) == 1
+    # bisection alone makes scalar calls: about 33 steps and one residual
+    assert calls["many"] == [512] and 0 < calls["scalar"] < 64
+    assert uniqueness_check(2, 0.3) == 1
+    assert calls["many"] == [512, 510] and calls["scalar"] < 64
+
+
+def test_scan_imports_neither_numpy_nor_scipy():
+    # the pure-Python grid keeps import time and peak memory small
+    src = Path(zero_analysis.__file__).resolve().parents[1]
+    code = ("import sys, hurwitz_real_zeros as h; h.locate_zeros(2, 0.3); "
+            "print(sorted(m for m in ('numpy', 'scipy') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_zero_count_parity_matches_prediction():
