@@ -31,6 +31,7 @@ from .hurwitz import (
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
     hurwitz_zeta_many,
+    hurwitz_zeta_signs,
     integral_representation,
     integrand_G,
     riemann_zeta,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, lcm
 from typing import Sequence, Tuple, Union
 
 __all__ = [
@@ -54,6 +54,14 @@ class BernoulliPolynomial:
     @property
     def float_coefficients(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in self.coefficients)
+
+    @cached_property
+    def _integer_coefficients(self) -> Tuple[Tuple[int, ...], int]:
+        """(numerators, d): coefficients[k] == numerators[k] / d, with d the
+        least common denominator."""
+        d = lcm(*(c.denominator for c in self.coefficients))
+        return tuple(c.numerator * (d // c.denominator)
+                     for c in self.coefficients), d
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,21 @@ def bernoulli_polynomial(n: int) -> BernoulliPolynomial:
 def eval_poly(p: BernoulliPolynomial, x: Number):
     """Evaluate p at x: exact when x is rational, float Horner otherwise.
 
+    The exact path runs Horner on x = u/v homogeneously in integers,
+    sum_k n_k u^k v^(deg-k) over d v^deg with p's integer numerators n_k
+    over their common denominator d, and reduces one Fraction at the end.
     The floating path runs nested multiplication from the highest degree
     down, so results are reproducible bit-for-bit on a given platform.
     """
     if isinstance(x, numbers.Rational):
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(p.coefficients):
-            acc = acc * x + c
-        return acc
+        u, v = int(x.numerator), int(x.denominator)
+        nums, d = p._integer_coefficients
+        acc = nums[-1]
+        vpow = 1
+        for c in reversed(nums[:-1]):
+            vpow *= v
+            acc = acc * u + c * vpow
+        return Fraction(acc, d * vpow)
     xf = float(x)
     accf = 0.0
     for c in reversed(p.float_coefficients):

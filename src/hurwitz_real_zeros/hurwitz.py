@@ -30,6 +30,14 @@ Euler-Maclaurin coefficients B_2k/(2k)! (cached per k for the process), and
 the Fourier angles 2 pi (k a mod 1) up to the most terms a point needs.  It
 stays in pure Python: importing numpy costs more set-up time and memory
 than a scan.
+
+`hurwitz_zeta_signs(sigmas, a)` returns the signs of those values, which is
+all a zero scan uses.  At a point the full call would serve by the Fourier
+series, it first sums the series to `SIGN_SCAN_TARGET` (1e-4), a few terms
+instead of up to 372.  If that value v' exceeds its bound b' by more than
+the target, then |zeta| > target, and the full value, within target of
+zeta, has the sign of v'.  Every other point -- the few near a zero, and
+every float-em, mpf-em and exact point -- is evaluated in full.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ __all__ = [
     "hurwitz_zeta",
     "hurwitz_zeta_detailed",
     "hurwitz_zeta_many",
+    "hurwitz_zeta_signs",
     "hurwitz_zeta_exact_at_nonpositive_integer",
     "riemann_zeta",
     "gamma_real",
@@ -79,6 +88,15 @@ _TWO_PI = 2.0 * math.pi
 #: in (-3, 0)), and guarded-mpmath EM below that costs 450-860 us per call.
 #: The Fourier series reaches 1e-10 in 5-372 float terms for sigma < -3.
 FOURIER_CROSSOVER = -3.0
+
+#: `hurwitz_zeta_signs` sums the Fourier series to this looser target first
+#: and keeps that sign where the value clears its bound by the full target.
+#: The `deep` benchmark (8 s runs, seeds 81-84, 2-core x86-64) ran 469-485
+#: items/s at 1e-6, 510-537 at 1e-5, 524-596 at 1e-4 and 556-562 at 1e-3.
+#: Averaged over 40 seeded a, the full evaluator then served at most 0.03,
+#: 0.33, 2.4 and 7.9 points of a 512-point grid on any strip N = 3..7 or
+#: uniqueness interval M = 2..5.  1e-4 keeps the speed with few fallbacks.
+SIGN_SCAN_TARGET = 1e-4
 
 #: x below this uses the Laurent-tail form of the integrand (validity radius
 #: of the expansion is 2*pi, comfortably above it).
@@ -233,13 +251,22 @@ def _needs_guard_precision(sigma: float, a: float, M: int,
     return _EPS * peak * math.sqrt(M + 4) > target / 2.0
 
 
+def _fourier_terms(s: float, pref: float, target: float) -> int:
+    """The root n of pref * n^(1-s)/(s-1) = target/2, rounded up (and at
+    least 1): the Fourier term count, up to a rounding short by one."""
+    return max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
+                            ** (1.0 / (s - 1.0))))
+
+
 class _Evaluator:
     """zeta(., a) under one `EvalParams`.
 
     Work that does not depend on sigma is done once per instance: the head
     bases n + a for each cutoff, and the Fourier angles 2 pi (k a mod 1),
     extended to the most terms any sigma has needed.  Calling it at sigma
-    returns (value, error_bound, cutoff, correction_order, path).
+    returns (value, error_bound, cutoff, correction_order, path); `sign`
+    returns the sign of that value, certified from a cheaper sum where it
+    can be.
     """
 
     def __init__(self, a: float, params: EvalParams):
@@ -264,7 +291,7 @@ class _Evaluator:
                 val = hurwitz_zeta_exact_at_nonpositive_integer(
                     1 - int(sigma), Fraction(a))
                 return float(val), 0.0, 0, 0, "exact"
-            res = self._fourier(sigma, target, params.max_cutoff)
+            res = self._fourier(sigma, target)
             if res is not None:
                 return res
         M = cutoff if cutoff is not None else _default_cutoff(sigma, params)
@@ -298,19 +325,53 @@ class _Evaluator:
         return _correction_loop(sigma, q, total, kmax, kmin, target,
                                 _em_coef)
 
-    def _fourier(self, sigma: float, target: float, max_terms: int):
-        """Hurwitz's formula in floats, for sigma < -3 (the rounding bound
-        below assumes s > 4).
+    def sign(self, sigma: float) -> int:
+        """Sign (-1, 0 or 1) of self(sigma)[0].
+
+        Where self(sigma) would succeed on the Fourier series, the series is
+        first summed to `SIGN_SCAN_TARGET`.  If that value v' exceeds its
+        bound b' by more than the target, then |zeta| > target >=
+        |value - zeta|, so sign(v') is the sign of the full value.  Every
+        other point is evaluated in full.
+        """
+        sigma = float(sigma)
+        target = self.params.target_abs_error
+        if (sigma < FOURIER_CROSSOVER and not sigma.is_integer()
+                and target < SIGN_SCAN_TARGET):
+            plan = self._fourier_plan(sigma, target, SIGN_SCAN_TARGET)
+            if plan is not None:
+                n, pref, bound = plan
+                val = pref * self._fourier_sum(sigma, n)
+                if abs(val) - bound > target:
+                    return 1 if val > 0.0 else -1
+        val = self(sigma)[0]
+        return (val > 0.0) - (val < 0.0)
+
+    def _fourier(self, sigma: float, target: float):
+        """Hurwitz's formula in floats to `target`: the evaluator's result
+        tuple, or None where `_fourier_plan` declines."""
+        plan = self._fourier_plan(sigma, target)
+        if plan is None:
+            return None
+        n, pref, bound = plan
+        return pref * self._fourier_sum(sigma, n), bound, n, 0, "fourier"
+
+    def _fourier_plan(self, sigma: float, target: float,
+                      sum_target: Optional[float] = None):
+        """Term count of Hurwitz's formula for sigma < -3 (the rounding
+        bound below assumes s > 4).
 
         With s = 1 - sigma > 1 and 0 < a <= 1,
         zeta(sigma, a) = pref * sum_(k>=1) cos(pi s/2 - 2 pi k a) / k^s with
-        pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  The first n terms
-        are summed, n least with tail bound pref * n^(1-s)/(s-1) <= target/2.
-        Returns the evaluator's result tuple, the bound being the tail plus
-        float rounding, or None when the rounding bound alone exceeds
-        target/2.  Raises AccuracyError when n would exceed `max_terms`.
+        pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  To reach a target t,
+        the first n terms are summed, n least with tail bound
+        pref * n^(1-s)/(s-1) <= t/2.  Returns (n, pref, bound) for
+        t = `sum_target` (default `target`, not below it), the bound being
+        the tail plus float rounding, or None when the rounding bound alone
+        exceeds target/2.  Raises AccuracyError when reaching `target` would
+        take more than `max_cutoff` terms.
         """
-        a = self.a
+        max_terms = self.params.max_cutoff
         s = 1.0 - sigma
         if s > 170.0:
             return None  # Gamma(s) overflows; rounding passed any target
@@ -324,26 +385,33 @@ class _Evaluator:
         rounding = _EPS * pref * (s * (math.log(s * max_terms) + 12.0) + 44.0)
         if rounding > target / 2.0:
             return None
-        n = max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
-                             ** (1.0 / (s - 1.0))))
+        n = _fourier_terms(s, pref, target)
         if n > max_terms:
             tail = pref * max_terms ** (1.0 - s) / (s - 1.0)
             raise AccuracyError(
                 f"Fourier series needs {n} terms, over the cap {max_terms}, "
-                f"at sigma={sigma}, a={a}",
+                f"at sigma={sigma}, a={self.a}",
                 achieved_bound=tail + rounding,
             )
+        if sum_target is not None:
+            target = sum_target
+            n = _fourier_terms(s, pref, target)
         tail = pref * n ** (1.0 - s) / (s - 1.0)
         if tail > target / 2.0:  # the rounded root fell just short
             n += 1
             tail = pref * n ** (1.0 - s) / (s - 1.0)
+        return n, pref, tail + rounding
+
+    def _fourier_sum(self, sigma: float, n: int) -> float:
+        """sum_(k=1..n) cos(pi s/2 - 2 pi k a) / k^s, s = 1 - sigma."""
+        a = self.a
         angles = self._angles
         for k in range(len(angles), n + 1):
             angles.append(_TWO_PI * (k * a % 1.0))
+        s = 1.0 - sigma
         phase = 0.5 * math.pi * s
-        total = math.fsum([math.cos(phase - angles[k]) * k ** -s
-                           for k in range(1, n + 1)])
-        return pref * total, tail + rounding, n, 0, "fourier"
+        return math.fsum([math.cos(phase - angles[k]) * k ** -s
+                          for k in range(1, n + 1)])
 
 
 def hurwitz_zeta_detailed(
@@ -384,6 +452,20 @@ def hurwitz_zeta_many(sigmas: Iterable[float], a: float,
     at = _Evaluator(a, params)
     results = [at(sigma) for sigma in sigmas]
     return [r[0] for r in results], [r[1] for r in results]
+
+
+def hurwitz_zeta_signs(sigmas: Iterable[float], a: float,
+                       params: EvalParams = EvalParams()) -> List[int]:
+    """Sign (-1, 0 or 1) of each value of `hurwitz_zeta_many(sigmas, a,
+    params)`, in order; the first sigma that fails raises, as there.
+
+    A point the full evaluator would serve by the Fourier series is first
+    summed to the looser `SIGN_SCAN_TARGET`, and that sign is kept where the
+    loose value exceeds its own bound by more than the params target; the
+    other points get the full evaluation.
+    """
+    at = _Evaluator(a, params)
+    return [at.sign(sigma) for sigma in sigmas]
 
 
 def riemann_zeta(sigma: float, params: EvalParams = EvalParams()) -> float:

@@ -4,7 +4,10 @@ exactly-one-zero check for the deep intervals [-2M-2, -2M).
 
 The existence criterion is the sign of B_(N+1)(a) * B_(N+2)(a), evaluated in
 exact rational arithmetic; the harness scans the evaluator for sign changes
-and refines them by bisection, with neither side trusting the other.
+and refines them by bisection, with neither side trusting the other.  The
+scans take each grid point's sign from `hurwitz_zeta_signs`, which is the
+sign of the full value, certified from a cheaper Fourier sum where its error
+bound allows; bisection and residuals use full values.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .hurwitz import (
     check_shift,
     hurwitz_zeta,
     hurwitz_zeta_exact_at_nonpositive_integer,
-    hurwitz_zeta_many,
+    hurwitz_zeta_signs,
 )
 
 __all__ = [
@@ -185,16 +188,16 @@ def locate_zeros(
     refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> List[LocatedZero]:
-    """Numeric witness: evaluate zeta(., a) on `scan_grid` in one
-    `hurwitz_zeta_many` call and refine each sign change by scalar
+    """Numeric witness: take the signs of zeta(., a) on `scan_grid` in one
+    `hurwitz_zeta_signs` call and refine each sign change by scalar
     bisection to bracket half-width <= refine_tol."""
     grid = scan_grid(N, grid_points, refine_tol)
     a = check_shift(a)
-    values, _ = hurwitz_zeta_many(grid, a, params)
+    signs = hurwitz_zeta_signs(grid, a, params)
     f = lambda s: hurwitz_zeta(s, a, params)
     zeros: List[LocatedZero] = []
-    prev_x, prev_f = grid[0], values[0]
-    for x, fx in zip(grid[1:], values[1:]):
+    prev_x, prev_f = grid[0], signs[0]
+    for x, fx in zip(grid[1:], signs[1:]):
         if fx == 0.0:
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
                                      residual=0.0))
@@ -222,8 +225,9 @@ def uniqueness_check(
     closed grid from -2M-2 to -2M, plus an exact zero at a grid point other
     than the right end.  Both ends take the exact value -B_n(a)/n, whose
     sign survives even where its float underflows (subnormal a), so a zero
-    next to an end is still bracketed.  The corollary predicts exactly 1
-    for every M >= 2.
+    next to an end is still bracketed; the interior points take their
+    signs from one `hurwitz_zeta_signs` call.  The corollary predicts
+    exactly 1 for every M >= 2.
     """
     M = int(M)
     if M < 2:
@@ -235,9 +239,9 @@ def uniqueness_check(
     step = 2.0 / (grid_points - 1)
     ar = Fraction(a)
     values = [hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 3, ar)]
-    values += hurwitz_zeta_many([left + i * step
-                                 for i in range(1, grid_points - 1)],
-                                a, params)[0]
+    values += hurwitz_zeta_signs([left + i * step
+                                  for i in range(1, grid_points - 1)],
+                                 a, params)
     values.append(hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 1, ar))
     count = sum(1 for v in values[:-1] if v == 0)
     count += sum(1 for prev, cur in zip(values, values[1:])

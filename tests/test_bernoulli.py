@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,29 @@ def test_eval_poly_examples():
     assert eval_poly(bernoulli_polynomial(2), F(1)) == F(1, 6)
     assert eval_poly(bernoulli_polynomial(3), F(1, 2)) == 0
     assert eval_poly(bernoulli_polynomial(2), F(3, 10)) == F(-13, 300)
+
+
+def _fraction_horner(p, x):
+    """Oracle: Horner's rule in Fractions, one reduction per step."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def test_eval_poly_exact_matches_fraction_horner():
+    rng = random.Random(64)
+    points = [0, 1, 7, -3, F(1, 2), F(-3, 7), F(5e-324)]
+    points += [F(rng.uniform(-2.0, 2.0)) for _ in range(12)]
+    for n in range(RATIONAL_CAP + 1):
+        p = bernoulli_polynomial(n)
+        for x in points:
+            got = eval_poly(p, x)
+            want = _fraction_horner(p, x)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (
+                want.numerator, want.denominator)
 
 
 def test_eval_poly_float_matches_exact():

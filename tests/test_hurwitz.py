@@ -25,10 +25,12 @@ from hurwitz_real_zeros.hurwitz import (
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
     hurwitz_zeta_many,
+    hurwitz_zeta_signs,
     integral_representation,
     integrand_G,
     riemann_zeta,
 )
+from hurwitz_real_zeros.zero_analysis import locate_zeros
 
 F = Fraction
 TIGHT = EvalParams(target_abs_error=1e-12)
@@ -295,6 +297,108 @@ def test_many_raises_at_first_failing_sigma():
     _assert_many_matches_scalar([-2.5, math.nan, -1e6], 0.3)
     _assert_many_matches_scalar([-2.5, -1e6, math.nan], 0.3)
     assert hurwitz_zeta_many([], 0.3) == ([], [])
+
+
+# ------------------------------------------------------------- sign scan
+
+def _assert_signs_match_many(sigmas, a, params=EvalParams()):
+    """hurwitz_zeta_signs equals the signs of hurwitz_zeta_many, or raises
+    what it raises first."""
+    try:
+        values, _ = hurwitz_zeta_many(sigmas, a, params)
+    except (AccuracyError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            hurwitz_zeta_signs(sigmas, a, params)
+        assert str(got.value) == str(exc)
+        if isinstance(exc, AccuracyError):
+            assert got.value.achieved_bound == exc.achieved_bound
+        return
+    assert hurwitz_zeta_signs(sigmas, a, params) == [
+        (v > 0.0) - (v < 0.0) for v in values]
+
+
+def _strip_grid(N, points):
+    return [-N - 1 + (i + 0.5) / points for i in range(points)]
+
+
+def _count_full_calls(monkeypatch):
+    calls = [0]
+    full = hurwitz_module._Evaluator.__call__
+
+    def counted(self, *args):
+        calls[0] += 1
+        return full(self, *args)
+
+    monkeypatch.setattr(hurwitz_module._Evaluator, "__call__", counted)
+    return calls
+
+
+def test_signs_match_many_on_strip_grids():
+    rng = random.Random(5)
+    for a in (1.0, 0.5, 1e-6, 1e-300, rng.uniform(0.0, 1.0) or 1.0):
+        for N in range(3, 31):
+            # guarded mpmath serves N >= 21 in both: fewer points suffice
+            points = 200 if N < 21 else 6
+            _assert_signs_match_many(
+                sorted(rng.uniform(-N - 1, -N) for _ in range(points)), a)
+
+
+def test_signs_match_many_packed_around_zeros(monkeypatch):
+    # points 1e-12 apart straddle each zero: the loose sum cannot certify
+    # them, so the full evaluator decides, and still agrees
+    calls = _count_full_calls(monkeypatch)
+    for N, a in ((3, 0.3), (4, 0.1), (5, 0.9), (8, 0.7)):
+        zeros = locate_zeros(N, a)
+        assert zeros
+        for z in zeros:
+            calls[0] = 0
+            sigmas = [z.sigma + i * 1e-12 for i in range(-20, 21)]
+            _assert_signs_match_many(sigmas, a)
+            assert calls[0] >= 2 * len(sigmas)  # signs' and many's
+
+
+def test_signs_match_many_off_the_fourier_path():
+    rng = random.Random(7)
+    sigmas = ([float(n) for n in range(-29, 0)]
+              + [-3.0, -3.0 - 1e-12, -21.5, -25.5, -29.9, 0.5, 2.0]
+              + [rng.uniform(-30.0, 1.0) for _ in range(100)])
+    rng.shuffle(sigmas)
+    for a in (1.0, 0.37, 1e-6):
+        _assert_signs_match_many(sigmas, a)
+        # a target at or above the loose one evaluates every point in full
+        _assert_signs_match_many(sigmas, a, EvalParams(target_abs_error=1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-30.0, 0.999), min_size=1, max_size=40),
+       st.floats(1e-9, 1.0))
+def test_signs_match_many_random(sigmas, a):
+    _assert_signs_match_many(sigmas, a)
+
+
+def test_signs_raise_where_many_raises():
+    # a term cap below what the Fourier series needs near sigma = -3
+    capped = EvalParams(max_cutoff=100)
+    with pytest.raises(AccuracyError, match="sigma=-3.01,"):
+        hurwitz_zeta_signs([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
+    _assert_signs_match_many([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
+    # a target no float sum can reach: the first inexact point fails
+    tight = EvalParams(target_abs_error=1e-60)
+    _assert_signs_match_many([-5.0, -8.0, -7.5, 0.5, -2.5], 0.3, tight)
+    _assert_signs_match_many([-2.5, math.nan, -1e6], 0.3)
+    _assert_signs_match_many([-7.5, -1e6, math.nan], 0.3)
+    _assert_signs_match_many([-7.5, 1.0], 0.3)
+    assert hurwitz_zeta_signs([], 0.3) == []
+
+
+def test_signs_take_the_cheap_path(monkeypatch):
+    calls = _count_full_calls(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(10):
+        a = rng.uniform(0.0, 1.0) or 1.0
+        calls[0] = 0
+        hurwitz_zeta_signs(_strip_grid(3, 512), a)
+        assert calls[0] <= 5
 
 
 # ------------------------------------------------------------------ gamma

@@ -148,24 +148,25 @@ def test_locate_zeros_validation():
 
 
 def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
-    calls = {"many": [], "scalar": 0}
-    many, scalar = zero_analysis.hurwitz_zeta_many, zero_analysis.hurwitz_zeta
+    calls = {"signs": [], "scalar": 0}
+    signs = zero_analysis.hurwitz_zeta_signs
+    scalar = zero_analysis.hurwitz_zeta
 
-    def count_many(sigmas, *args):
-        calls["many"].append(len(sigmas))
-        return many(sigmas, *args)
+    def count_signs(sigmas, *args):
+        calls["signs"].append(len(sigmas))
+        return signs(sigmas, *args)
 
     def count_scalar(*args):
         calls["scalar"] += 1
         return scalar(*args)
 
-    monkeypatch.setattr(zero_analysis, "hurwitz_zeta_many", count_many)
+    monkeypatch.setattr(zero_analysis, "hurwitz_zeta_signs", count_signs)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
     assert len(locate_zeros(1, 0.4, 512, 1e-10)) == 1
     # bisection alone makes scalar calls: about 33 steps and one residual
-    assert calls["many"] == [512] and 0 < calls["scalar"] < 64
+    assert calls["signs"] == [512] and 0 < calls["scalar"] < 64
     assert uniqueness_check(2, 0.3) == 1
-    assert calls["many"] == [512, 510] and calls["scalar"] < 64
+    assert calls["signs"] == [512, 510] and calls["scalar"] < 64
 
 
 def test_scan_imports_neither_numpy_nor_scipy():
