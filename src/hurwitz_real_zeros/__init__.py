@@ -1,8 +1,10 @@
 """Real zeros of the Hurwitz zeta function on the negative axis.
 
-Exact Bernoulli-polynomial arithmetic, a real-line Euler-Maclaurin evaluator
-for zeta(sigma, a), and a numeric harness checking that zeros appear in
-(-N-1, -N) exactly when B_(N+1)(a) * B_(N+2)(a) < 0.
+Exact Bernoulli-polynomial arithmetic, a real-line evaluator for
+zeta(sigma, a) with an explicit error bound (Euler-Maclaurin, Hurwitz's
+Fourier series and exact values; `Evaluator` keeps one a's work across
+calls), and a numeric harness checking that zeros appear in (-N-1, -N)
+exactly when B_(N+1)(a) * B_(N+2)(a) < 0.
 """
 
 __version__ = "0.1.0"
@@ -23,6 +25,7 @@ from .hurwitz import (
     AccuracyError,
     EvalParams,
     EvalResult,
+    Evaluator,
     PoleError,
     StripError,
     gamma_real,
@@ -30,8 +33,6 @@ from .hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
-    hurwitz_zeta_many,
-    hurwitz_zeta_signs,
     integral_representation,
     integrand_G,
     riemann_zeta,

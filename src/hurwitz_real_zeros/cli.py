@@ -20,10 +20,10 @@ from .bernoulli import IndeterminateSign, even_roots
 from .hurwitz import (
     AccuracyError,
     EvalParams,
+    Evaluator,
     PoleError,
     StripError,
     hurwitz_zeta_detailed,
-    hurwitz_zeta_many,
 )
 from .zero_analysis import (
     BOUNDARY,
@@ -73,10 +73,10 @@ def _config_from_args(args) -> RunConfig:
         exclusion_delta=args.delta,
         digits=args.digits,
     )
-    if cfg.target_abs_error <= 0 or cfg.refine_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    if cfg.exclusion_delta <= 0:
-        raise ValueError("exclusion delta must be positive")
+    if not 0.0 < cfg.target_abs_error < math.inf:
+        raise ValueError("tolerances must be finite and positive")
+    if not 0.0 < cfg.exclusion_delta < math.inf:
+        raise ValueError("exclusion delta must be finite and positive")
     return cfg
 
 
@@ -185,7 +185,8 @@ def _cmd_scan(args) -> int:
     a = _fmt(args.a, d)
     if args.curve:
         sigmas = scan_grid(args.N, cfg.grid_points, cfg.refine_tol)
-        values, _ = hurwitz_zeta_many(sigmas, args.a, params)
+        ev = Evaluator(args.a, params)
+        values = [ev(s)[0] for s in sigmas]
         print(f"# zeta(sigma, a={a}) on ({-args.N - 1}, {-args.N})")
         for s, v in zip(sigmas, values):
             print(f"{_fmt(s, d)} {_fmt(v, d)}")

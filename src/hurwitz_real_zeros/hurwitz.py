@@ -1,6 +1,6 @@
 """Real-line Hurwitz zeta evaluation and the strip-wise integral cross-check.
 
-The adaptive evaluator picks one of three paths from sigma (the `path`
+The adaptive evaluator picks one of four paths from sigma (the `path`
 field of `EvalResult` names the one that served a call):
 
 - sigma >= `FOURIER_CROSSOVER` (-3): Euler-Maclaurin -- head sum, integral
@@ -17,22 +17,21 @@ field of `EvalResult` names the one that served a call):
   large that float rounding alone passes half the default target, and
   guarded `mpf-em` serves instead.
 
-Explicit `cutoff` or `correction_order` overrides always run
-Euler-Maclaurin.  The returned value is always an ordinary float.  sigma
-must be finite; where the head sum's peak magnitude overflows a float, the
-call raises `AccuracyError` with an infinite bound.
+The returned value is always an ordinary float.  sigma must be finite;
+where the head sum's peak magnitude overflows a float, the call raises
+`AccuracyError` with an infinite bound.
 
-`hurwitz_zeta_many(sigmas, a)` evaluates a grid in one call.  It runs the
-same dispatch as the scalar `hurwitz_zeta_detailed` at each point, and
-returns the same values and bounds bit for bit, but computes what does not
-depend on sigma once per grid: the head bases n + a per cutoff, the float
-Euler-Maclaurin coefficients B_2k/(2k)! (cached per k for the process), and
-the Fourier angles 2 pi (k a mod 1) up to the most terms a point needs.  It
-stays in pure Python: importing numpy costs more set-up time and memory
-than a scan.
+`Evaluator(a, params)` is zeta(., a) as an object, and the scalar
+`hurwitz_zeta` and `hurwitz_zeta_detailed` build one per call.  Reusing
+one across many sigma returns the same values and bounds bit for bit, but
+computes what does not depend on sigma once: the head bases n + a per
+cutoff, and the Fourier angles 2 pi (k a mod 1) up to the most terms a
+point needs (the float Euler-Maclaurin coefficients B_2k/(2k)! are cached
+per k for the process).  It stays in pure Python: importing numpy costs
+more set-up time and memory than a scan.
 
-`hurwitz_zeta_signs(sigmas, a)` returns the signs of those values, which is
-all a zero scan uses.  At a point the full call would serve by the Fourier
+`Evaluator.sign(sigma)` returns the sign of that value, which is all a
+zero scan uses.  At a point the full call would serve by the Fourier
 series, it first sums the series to `SIGN_SCAN_TARGET` (1e-4), a few terms
 instead of up to 372.  If that value v' exceeds its bound b' by more than
 the target, then |zeta| > target, and the full value, within target of
@@ -47,7 +46,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -64,11 +63,10 @@ __all__ = [
     "StripError",
     "EvalParams",
     "EvalResult",
+    "Evaluator",
     "check_shift",
     "hurwitz_zeta",
     "hurwitz_zeta_detailed",
-    "hurwitz_zeta_many",
-    "hurwitz_zeta_signs",
     "hurwitz_zeta_exact_at_nonpositive_integer",
     "riemann_zeta",
     "gamma_real",
@@ -89,7 +87,7 @@ _TWO_PI = 2.0 * math.pi
 #: The Fourier series reaches 1e-10 in 5-372 float terms for sigma < -3.
 FOURIER_CROSSOVER = -3.0
 
-#: `hurwitz_zeta_signs` sums the Fourier series to this looser target first
+#: `Evaluator.sign` sums the Fourier series to this looser target first
 #: and keeps that sign where the value clears its bound by the full target.
 #: The `deep` benchmark (8 s runs, seeds 81-84, 2-core x86-64) ran 469-485
 #: items/s at 1e-6, 510-537 at 1e-5, 524-596 at 1e-4 and 556-562 at 1e-3.
@@ -97,6 +95,12 @@ FOURIER_CROSSOVER = -3.0
 #: 0.33, 2.4 and 7.9 points of a 512-point grid on any strip N = 3..7 or
 #: uniqueness interval M = 2..5.  1e-4 keeps the speed with few fallbacks.
 SIGN_SCAN_TARGET = 1e-4
+
+#: Most Euler-Maclaurin head terms, and most Fourier terms, one call sums.
+MAX_CUTOFF = 10_000
+
+#: Most Euler-Maclaurin correction terms B_2k/(2k)! one call adds.
+MAX_CORRECTION_ORDER = 30
 
 #: x below this uses the Laurent-tail form of the integrand (validity radius
 #: of the expansion is 2*pi, comfortably above it).
@@ -121,17 +125,13 @@ class StripError(ValueError):
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Accuracy and truncation configuration for the evaluator."""
+    """The evaluator's absolute error target."""
 
     target_abs_error: float = 1e-10
-    max_cutoff: int = 10_000
-    max_correction_order: int = 30
 
     def __post_init__(self):
-        if self.target_abs_error <= 0:
-            raise ValueError("target_abs_error must be positive")
-        if self.max_cutoff <= 0 or self.max_correction_order <= 0:
-            raise ValueError("truncation caps must be positive")
+        if not 0.0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -139,15 +139,11 @@ class EvalResult:
     """An evaluator value with its absolute error bound.
 
     `path` is the evaluator that served the call: `float-em`, `mpf-em`,
-    `fourier` or `exact`.  `cutoff` is the Euler-Maclaurin head length or
-    the number of Fourier terms (0 for `exact`); `correction_order` is the
-    Euler-Maclaurin order (0 off Euler-Maclaurin).
+    `fourier` or `exact`.
     """
 
     value: float
     error_bound: float
-    cutoff: int
-    correction_order: int
     path: str
 
 
@@ -167,8 +163,8 @@ def _check_strip(N: int, sigma: float) -> None:
         )
 
 
-def _default_cutoff(sigma: float, params: EvalParams) -> int:
-    return min(params.max_cutoff, max(20, math.ceil(abs(sigma)) + 10))
+def _default_cutoff(sigma: float) -> int:
+    return min(MAX_CUTOFF, max(20, math.ceil(abs(sigma)) + 10))
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +189,6 @@ def _correction_loop(s, q, total, kmax, kmin, target, coef):
     qm2 = q ** -2
     best_bound = math.inf
     best_val = total
-    best_k = 0
     val = total
     c = coef(2)
     for k in range(1, kmax + 1):
@@ -207,10 +202,9 @@ def _correction_loop(s, q, total, kmax, kmin, target, coef):
         if k >= kmin and bound < best_bound:
             best_bound = bound
             best_val = val
-            best_k = k
             if bound <= target:
                 break
-    return best_val, best_bound, best_k
+    return best_val, best_bound
 
 
 def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
@@ -231,9 +225,8 @@ def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
             return mpf(b.numerator) / b.denominator / math.factorial(j)
 
         kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        val, bound, k = _correction_loop(s, q, total, kmax, kmin, target,
-                                         coef)
-        return float(val), bound, k
+        val, bound = _correction_loop(s, q, total, kmax, kmin, target, coef)
+        return float(val), bound
 
 
 def _needs_guard_precision(sigma: float, a: float, M: int,
@@ -258,62 +251,56 @@ def _fourier_terms(s: float, pref: float, target: float) -> int:
                             ** (1.0 / (s - 1.0))))
 
 
-class _Evaluator:
+class Evaluator:
     """zeta(., a) under one `EvalParams`.
 
     Work that does not depend on sigma is done once per instance: the head
     bases n + a for each cutoff, and the Fourier angles 2 pi (k a mod 1),
     extended to the most terms any sigma has needed.  Calling it at sigma
-    returns (value, error_bound, cutoff, correction_order, path); `sign`
-    returns the sign of that value, certified from a cheaper sum where it
-    can be.
+    returns (value, error_bound, path), the same bit for bit as a fresh
+    instance would; `sign` returns the sign of that value, certified from a
+    cheaper sum where it can be.
     """
 
-    def __init__(self, a: float, params: EvalParams):
+    def __init__(self, a: float, params: EvalParams = EvalParams()):
         self.a = check_shift(a)
         self.params = params
         self._bases = {}
         self._angles = [0.0]  # index k; k = 0 is never summed
 
-    def __call__(self, sigma: float, cutoff: Optional[int] = None,
-                 correction_order: Optional[int] = None):
+    def __call__(self, sigma: float):
         a = self.a
         sigma = float(sigma)
         if not math.isfinite(sigma):
             raise ValueError("sigma must be finite")
         if sigma == 1.0:
             raise PoleError("zeta(s, a) has a pole at s = 1")
-        params = self.params
-        target = params.target_abs_error
-        if (sigma < FOURIER_CROSSOVER and cutoff is None
-                and correction_order is None):
+        target = self.params.target_abs_error
+        if sigma < FOURIER_CROSSOVER:
             if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
                 val = hurwitz_zeta_exact_at_nonpositive_integer(
                     1 - int(sigma), Fraction(a))
-                return float(val), 0.0, 0, 0, "exact"
-            res = self._fourier(sigma, target)
-            if res is not None:
-                return res
-        M = cutoff if cutoff is not None else _default_cutoff(sigma, params)
-        if M <= 0:
-            raise ValueError("cutoff must be positive")
-        kmax = (correction_order if correction_order is not None
-                else params.max_correction_order)
+                return float(val), 0.0, "exact"
+            plan = self._fourier_plan(sigma, target)
+            if plan is not None:
+                n, pref, bound = plan
+                return pref * self._fourier_sum(sigma, n), bound, "fourier"
+        M = _default_cutoff(sigma)
         if _needs_guard_precision(sigma, a, M, target):
-            val, bound, k = _em_mpf(sigma, a, M, kmax, target)
+            val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
             path = "mpf-em"
         else:
-            val, bound, k = self._em_float(sigma, M, kmax, target)
+            val, bound = self._em_float(sigma, M, target)
             path = "float-em"
-        if bound > target and correction_order is None:
+        if bound > target:
             raise AccuracyError(
                 f"achieved bound {bound:.3e} exceeds target {target:.3e} "
                 f"at sigma={sigma}, a={a}",
                 achieved_bound=bound,
             )
-        return val, bound, M, k, path
+        return val, bound, path
 
-    def _em_float(self, sigma: float, M: int, kmax: int, target: float):
+    def _em_float(self, sigma: float, M: int, target: float):
         a = self.a
         bases = self._bases.get(M)
         if bases is None:
@@ -322,8 +309,8 @@ class _Evaluator:
         head = math.fsum([b ** -sigma for b in bases])
         total = head + q ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * q ** -sigma
         kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        return _correction_loop(sigma, q, total, kmax, kmin, target,
-                                _em_coef)
+        return _correction_loop(sigma, q, total, MAX_CORRECTION_ORDER, kmin,
+                                target, _em_coef)
 
     def sign(self, sigma: float) -> int:
         """Sign (-1, 0 or 1) of self(sigma)[0].
@@ -347,15 +334,6 @@ class _Evaluator:
         val = self(sigma)[0]
         return (val > 0.0) - (val < 0.0)
 
-    def _fourier(self, sigma: float, target: float):
-        """Hurwitz's formula in floats to `target`: the evaluator's result
-        tuple, or None where `_fourier_plan` declines."""
-        plan = self._fourier_plan(sigma, target)
-        if plan is None:
-            return None
-        n, pref, bound = plan
-        return pref * self._fourier_sum(sigma, n), bound, n, 0, "fourier"
-
     def _fourier_plan(self, sigma: float, target: float,
                       sum_target: Optional[float] = None):
         """Term count of Hurwitz's formula for sigma < -3 (the rounding
@@ -369,27 +347,26 @@ class _Evaluator:
         t = `sum_target` (default `target`, not below it), the bound being
         the tail plus float rounding, or None when the rounding bound alone
         exceeds target/2.  Raises AccuracyError when reaching `target` would
-        take more than `max_cutoff` terms.
+        take more than `MAX_CUTOFF` terms.
         """
-        max_terms = self.params.max_cutoff
         s = 1.0 - sigma
         if s > 170.0:
             return None  # Gamma(s) overflows; rounding passed any target
         pref = 2.0 * math.gamma(s) / _TWO_PI ** s
         # First-order rounding, in ulps of pref, for s > 4 (so sum k^-s <
-        # 1.09, sum k^(1-s) < 1.21) and n <= max_terms: the rounded s (s/2
+        # 1.09, sum k^(1-s) < 1.21) and n <= MAX_CUTOFF: the rounded s (s/2
         # ulps times log s + log n + 4 for the slope of each term), the
         # cosine argument (pi s + pi k + 11 ulps, k*a included), k^-s and
         # the product (1.5), the correctly rounded fsum (0.5) and pref
         # itself (22.5 + s/2, Gamma taken as good to 20 ulps).
-        rounding = _EPS * pref * (s * (math.log(s * max_terms) + 12.0) + 44.0)
+        rounding = _EPS * pref * (s * (math.log(s * MAX_CUTOFF) + 12.0) + 44.0)
         if rounding > target / 2.0:
             return None
         n = _fourier_terms(s, pref, target)
-        if n > max_terms:
-            tail = pref * max_terms ** (1.0 - s) / (s - 1.0)
+        if n > MAX_CUTOFF:
+            tail = pref * MAX_CUTOFF ** (1.0 - s) / (s - 1.0)
             raise AccuracyError(
-                f"Fourier series needs {n} terms, over the cap {max_terms}, "
+                f"Fourier series needs {n} terms, over the cap {MAX_CUTOFF}, "
                 f"at sigma={sigma}, a={self.a}",
                 achieved_bound=tail + rounding,
             )
@@ -414,58 +391,22 @@ class _Evaluator:
                           for k in range(1, n + 1)])
 
 
-def hurwitz_zeta_detailed(
-    sigma: float,
-    a: float,
-    params: EvalParams = EvalParams(),
-    cutoff: Optional[int] = None,
-    correction_order: Optional[int] = None,
-) -> EvalResult:
+def hurwitz_zeta_detailed(sigma: float, a: float,
+                          params: EvalParams = EvalParams()) -> EvalResult:
     """Evaluate zeta(sigma, a) with an explicit achieved error bound.
 
-    `cutoff` and `correction_order` override the adaptive policy (used by the
-    parameter-sanity tests) and always run Euler-Maclaurin.  Otherwise
     sigma < `FOURIER_CROSSOVER` is served exactly at integers and by the
     Fourier series elsewhere; Euler-Maclaurin uses the head length
     max(20, ceil(|sigma|) + 10) and grows the correction order until the
     first-omitted-term bound clears the target.
     """
-    return EvalResult(*_Evaluator(a, params)(sigma, cutoff, correction_order))
+    return EvalResult(*Evaluator(a, params)(sigma))
 
 
 def hurwitz_zeta(sigma: float, a: float,
                  params: EvalParams = EvalParams()) -> float:
     """zeta(sigma, a) on the real line, absolute error <= the params target."""
-    return _Evaluator(a, params)(sigma)[0]
-
-
-def hurwitz_zeta_many(sigmas: Iterable[float], a: float,
-                      params: EvalParams = EvalParams()
-                      ) -> Tuple[List[float], List[float]]:
-    """Values and error bounds of `hurwitz_zeta_detailed(sigma, a, params)`
-    at each sigma, in order and bit for bit, as two lists.
-
-    One evaluator serves the whole grid, so the head bases, Euler-Maclaurin
-    coefficients and Fourier angles are computed once, not once per point.
-    The first sigma that fails raises, as a loop of scalar calls would.
-    """
-    at = _Evaluator(a, params)
-    results = [at(sigma) for sigma in sigmas]
-    return [r[0] for r in results], [r[1] for r in results]
-
-
-def hurwitz_zeta_signs(sigmas: Iterable[float], a: float,
-                       params: EvalParams = EvalParams()) -> List[int]:
-    """Sign (-1, 0 or 1) of each value of `hurwitz_zeta_many(sigmas, a,
-    params)`, in order; the first sigma that fails raises, as there.
-
-    A point the full evaluator would serve by the Fourier series is first
-    summed to the looser `SIGN_SCAN_TARGET`, and that sign is kept where the
-    loose value exceeds its own bound by more than the params target; the
-    other points get the full evaluation.
-    """
-    at = _Evaluator(a, params)
-    return [at.sign(sigma) for sigma in sigmas]
+    return Evaluator(a, params)(sigma)[0]
 
 
 def riemann_zeta(sigma: float, params: EvalParams = EvalParams()) -> float:

@@ -4,10 +4,12 @@ exactly-one-zero check for the deep intervals [-2M-2, -2M).
 
 The existence criterion is the sign of B_(N+1)(a) * B_(N+2)(a), evaluated in
 exact rational arithmetic; the harness scans the evaluator for sign changes
-and refines them by bisection, with neither side trusting the other.  The
-scans take each grid point's sign from `hurwitz_zeta_signs`, which is the
-sign of the full value, certified from a cheaper Fourier sum where its error
-bound allows; bisection and residuals use full values.
+and refines them by bisection, with neither side trusting the other.  Each
+scan builds one `Evaluator` and takes each grid point's sign from
+`Evaluator.sign`, which is the sign of the full value, certified from a
+cheaper Fourier sum where its error bound allows.  Bisection steps take
+full values from that same evaluator; each residual is one `hurwitz_zeta`
+call.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .bernoulli import (
 from .hurwitz import (
     AccuracyError,
     EvalParams,
+    Evaluator,
     check_shift,
     hurwitz_zeta,
     hurwitz_zeta_exact_at_nonpositive_integer,
-    hurwitz_zeta_signs,
 )
 
 __all__ = [
@@ -154,8 +156,8 @@ def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     N = _check_interval_index(N)
     if grid_points < 16:
         raise ValueError("grid_points must be >= 16")
-    if refine_tol <= 0:
-        raise ValueError("refine_tol must be positive")
+    if not 0.0 < refine_tol < math.inf:
+        raise ValueError("refine_tol must be finite and positive")
     margin = min(1e-4, refine_tol * 10.0)
     lo = -N - 1 + margin
     hi = -N - (1e-2 if N == -1 else margin)
@@ -163,12 +165,14 @@ def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     return [lo + i * step for i in range(grid_points)]
 
 
-def _refine_sign_change(f, lo, hi, flo, fhi, tol) -> LocatedZero:
+def _refine_sign_change(ev: Evaluator, lo: float, hi: float, flo: float,
+                        fhi: float, tol: float) -> LocatedZero:
+    """Bisect [lo, hi] on full values from `ev` to half-width <= tol."""
     if (flo < 0.0) == (fhi < 0.0):
         raise RuntimeError("bracket endpoints must have opposite signs")
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = ev(mid)[0]
         if fm == 0.0:
             lo = hi = mid
             break
@@ -178,7 +182,7 @@ def _refine_sign_change(f, lo, hi, flo, fhi, tol) -> LocatedZero:
             hi, fhi = mid, fm
     sigma = 0.5 * (lo + hi)
     return LocatedZero(sigma=sigma, bracket_halfwidth=(hi - lo) / 2.0,
-                       residual=abs(f(sigma)))
+                       residual=abs(hurwitz_zeta(sigma, ev.a, ev.params)))
 
 
 def locate_zeros(
@@ -188,13 +192,13 @@ def locate_zeros(
     refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> List[LocatedZero]:
-    """Numeric witness: take the signs of zeta(., a) on `scan_grid` in one
-    `hurwitz_zeta_signs` call and refine each sign change by scalar
-    bisection to bracket half-width <= refine_tol."""
+    """Numeric witness: one `Evaluator` takes the signs of zeta(., a) on
+    `scan_grid` and bisects each sign change on full values to bracket
+    half-width <= refine_tol; the residual at the final midpoint is one
+    `hurwitz_zeta` call."""
     grid = scan_grid(N, grid_points, refine_tol)
-    a = check_shift(a)
-    signs = hurwitz_zeta_signs(grid, a, params)
-    f = lambda s: hurwitz_zeta(s, a, params)
+    ev = Evaluator(a, params)
+    signs = [ev.sign(x) for x in grid]
     zeros: List[LocatedZero] = []
     prev_x, prev_f = grid[0], signs[0]
     for x, fx in zip(grid[1:], signs[1:]):
@@ -202,7 +206,7 @@ def locate_zeros(
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
                                      residual=0.0))
         elif prev_f != 0.0 and (fx < 0.0) != (prev_f < 0.0):
-            zeros.append(_refine_sign_change(f, prev_x, x, prev_f, fx,
+            zeros.append(_refine_sign_change(ev, prev_x, x, prev_f, fx,
                                              refine_tol))
         prev_x, prev_f = x, fx
     zeros.sort(key=lambda z: z.sigma)
@@ -226,22 +230,20 @@ def uniqueness_check(
     than the right end.  Both ends take the exact value -B_n(a)/n, whose
     sign survives even where its float underflows (subnormal a), so a zero
     next to an end is still bracketed; the interior points take their
-    signs from one `hurwitz_zeta_signs` call.  The corollary predicts
-    exactly 1 for every M >= 2.
+    signs from one `Evaluator`'s `sign`.  The corollary predicts exactly 1
+    for every M >= 2.
     """
     M = int(M)
     if M < 2:
         raise ValueError("M must be >= 2")
     if grid_points < 16:
         raise ValueError("grid_points must be >= 16")
-    a = check_shift(a)
+    ev = Evaluator(a, params)
     left = -2 * M - 2
     step = 2.0 / (grid_points - 1)
-    ar = Fraction(a)
+    ar = Fraction(ev.a)
     values = [hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 3, ar)]
-    values += hurwitz_zeta_signs([left + i * step
-                                  for i in range(1, grid_points - 1)],
-                                 a, params)
+    values += [ev.sign(left + i * step) for i in range(1, grid_points - 1)]
     values.append(hurwitz_zeta_exact_at_nonpositive_integer(2 * M + 1, ar))
     count = sum(1 for v in values[:-1] if v == 0)
     count += sum(1 for prev, cur in zip(values, values[1:])
@@ -315,8 +317,8 @@ def verify_theorem(
     (and boundary predictions) are excluded from the agreement statistics.
     Cases run in deterministic (N, a) order.
     """
-    if exclusion_delta <= 0:
-        raise ValueError("exclusion_delta must be positive")
+    if not 0.0 < exclusion_delta < math.inf:
+        raise ValueError("exclusion_delta must be finite and positive")
     if N_min < -1 or N_max < N_min:
         raise ValueError("need -1 <= N_min <= N_max")
     for a in a_grid:

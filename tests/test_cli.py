@@ -248,6 +248,23 @@ def test_verify_rejects_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--sigma", "-2.5", "--a", "0.3", "--tol", "nan"],
+    ["eval", "--sigma", "-7.5", "--a", "0.3", "--tol", "nan"],
+    ["eval", "--sigma", "-2.5", "--a", "0.3", "--tol", "inf"],
+    ["verify", "--nmin", "0", "--nmax", "1", "--astep", "0.3",
+     "--delta", "nan"],
+    ["verify", "--nmin", "0", "--nmax", "1", "--astep", "0.3",
+     "--delta", "inf"],
+])
+def test_non_finite_tolerances_are_domain_errors(capsys, argv):
+    # NaN and inf pass a `<= 0` check: eval then printed a value with a
+    # meaningless bound, and verify skipped no cell (nan) or every cell
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("domain error: ") and "finite" in err
+
+
 # ----------------------------------------------------------------- golden
 
 # stdout and exit code of every command in every --format.  After an

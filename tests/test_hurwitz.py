@@ -14,6 +14,7 @@ from hurwitz_real_zeros.hurwitz import (
     FOURIER_CROSSOVER,
     AccuracyError,
     EvalParams,
+    Evaluator,
     PoleError,
     StripError,
     SMALL_X_THRESHOLD,
@@ -24,8 +25,6 @@ from hurwitz_real_zeros.hurwitz import (
     hurwitz_zeta,
     hurwitz_zeta_detailed,
     hurwitz_zeta_exact_at_nonpositive_integer,
-    hurwitz_zeta_many,
-    hurwitz_zeta_signs,
     integral_representation,
     integrand_G,
     riemann_zeta,
@@ -119,21 +118,21 @@ def test_accuracy_failure_reports_bound():
     assert exc.value.achieved_bound > 1e-60
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_target_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        EvalParams(target_abs_error=tol)
+
+
 def test_error_bound_monotone_in_correction_order():
-    bounds = [
-        hurwitz_zeta_detailed(-3.7, 0.3, TIGHT, cutoff=25,
-                              correction_order=k).error_bound
-        for k in range(6, 17)
-    ]
+    bounds = [hurwitz_module._em_mpf(-3.7, 0.3, 25, k, 1e-12)[1]
+              for k in range(6, 17)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
 def test_error_bound_monotone_in_cutoff():
-    bounds = [
-        hurwitz_zeta_detailed(-3.7, 0.3, TIGHT, cutoff=m,
-                              correction_order=12).error_bound
-        for m in (25, 30, 40, 60)
-    ]
+    bounds = [hurwitz_module._em_mpf(-3.7, 0.3, m, 12, 1e-12)[1]
+              for m in (25, 30, 40, 60)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -149,13 +148,12 @@ def _mp_zeta(sigma, a):
 
 
 def test_evaluator_path_routing():
-    def path(sigma, params=EvalParams(), **kw):
-        return hurwitz_zeta_detailed(sigma, 0.37, params, **kw).path
+    def path(sigma, params=EvalParams()):
+        return hurwitz_zeta_detailed(sigma, 0.37, params).path
     assert path(-2.5) == "float-em"
     assert path(-7.5) == "fourier"
     assert path(-5.0) == "exact"
     assert path(-2.5, EvalParams(target_abs_error=1e-12)) == "mpf-em"
-    assert path(-7.5, cutoff=30) == "mpf-em"
     assert path(FOURIER_CROSSOVER) == "float-em"
     # past sigma = -21 float rounding alone would exceed half the target
     assert path(-25.5) == "mpf-em"
@@ -196,8 +194,9 @@ def test_continuity_across_crossover():
 
 def test_fourier_term_cap():
     with pytest.raises(AccuracyError) as exc:
-        hurwitz_zeta(-3.01, 0.3, EvalParams(max_cutoff=100))
-    assert exc.value.achieved_bound > 1e-10
+        # 16650 terms at this target, over the cap
+        hurwitz_zeta(-3.01, 0.3, EvalParams(target_abs_error=1e-15))
+    assert exc.value.achieved_bound > 1e-15
 
 
 @pytest.mark.parametrize("sigma", [-math.inf, math.inf, math.nan])
@@ -217,24 +216,25 @@ def test_guard_peak_overflow_is_accuracy_error(sigma, monkeypatch):
     assert exc.value.achieved_bound == math.inf
 
 
-# --------------------------------------------------------- grid evaluator
+# --------------------------------------------------------- reused evaluator
 
-def _assert_many_matches_scalar(sigmas, a, params=EvalParams()):
-    """hurwitz_zeta_many equals a loop of scalar calls bit for bit, or
-    raises what that loop raises first."""
+def _assert_reused_matches_scalar(sigmas, a, params=EvalParams()):
+    """One Evaluator called across sigmas equals fresh scalar calls bit for
+    bit, or raises what the scalar loop raises first."""
+    ev = Evaluator(a, params)
     try:
         expected = [hurwitz_zeta_detailed(s, a, params) for s in sigmas]
     except (AccuracyError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            hurwitz_zeta_many(sigmas, a, params)
+            for s in sigmas:
+                ev(s)
         assert str(got.value) == str(exc)
         if isinstance(exc, AccuracyError):
             assert got.value.achieved_bound == exc.achieved_bound
         return None
-    values, bounds = hurwitz_zeta_many(sigmas, a, params)
-    assert [v.hex() for v in values] == [r.value.hex() for r in expected]
-    assert [b.hex() for b in bounds] == [r.error_bound.hex()
-                                         for r in expected]
+    results = [ev(s) for s in sigmas]
+    assert [(v.hex(), b.hex(), p) for v, b, p in results] == [
+        (r.value.hex(), r.error_bound.hex(), r.path) for r in expected]
     return {r.path for r in expected}
 
 
@@ -268,52 +268,59 @@ def test_many_bit_identical_to_scalar():
         sigmas = [rng.uniform(-30.0, 1.0) for _ in range(200)] + special
         sigmas += [rng.uniform(0.0, 1.0) for _ in range(10)]
         rng.shuffle(sigmas)  # Fourier term counts rise and fall
-        paths |= _assert_many_matches_scalar(sigmas, a)
+        paths |= _assert_reused_matches_scalar(sigmas, a)
     # mpf-em serves sigma < -21 and, with a = 1e-6, sigma > 0
     assert paths == {"float-em", "mpf-em", "fourier", "exact"}
     # float-em head lengths 20, 21, 22 in one grid
-    assert _assert_many_matches_scalar([0.5, 10.5, 11.5, 0.5], 1.0) == {
+    assert _assert_reused_matches_scalar([0.5, 10.5, 11.5, 0.5], 1.0) == {
         "float-em"}
     # a tighter target moves float-em points to mpf-em
-    assert "mpf-em" in _assert_many_matches_scalar([0.5, -2.5, -7.5], 0.3,
-                                                   TIGHT)
+    assert "mpf-em" in _assert_reused_matches_scalar([0.5, -2.5, -7.5], 0.3,
+                                                     TIGHT)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-30.0, 0.999), min_size=1, max_size=40),
        st.floats(1e-9, 1.0))
 def test_many_matches_scalar_random(sigmas, a):
-    _assert_many_matches_scalar(sigmas, a)
+    _assert_reused_matches_scalar(sigmas, a)
 
 
 def test_many_raises_at_first_failing_sigma():
     # exact points pass at any target; the first inexact one fails
     params = EvalParams(target_abs_error=1e-60)
     sigmas = [-5.0, -8.0, -7.5, 0.5, -2.5]
+    ev = Evaluator(0.3, params)
     with pytest.raises(AccuracyError, match="sigma=-7.5,"):
-        hurwitz_zeta_many(sigmas, 0.3, params)
-    _assert_many_matches_scalar(sigmas, 0.3, params)
-    _assert_many_matches_scalar([-2.5, 0.5], 0.3, params)
-    _assert_many_matches_scalar([-2.5, math.nan, -1e6], 0.3)
-    _assert_many_matches_scalar([-2.5, -1e6, math.nan], 0.3)
-    assert hurwitz_zeta_many([], 0.3) == ([], [])
+        for sigma in sigmas:
+            ev(sigma)
+    _assert_reused_matches_scalar(sigmas, 0.3, params)
+    _assert_reused_matches_scalar([-2.5, 0.5], 0.3, params)
+    _assert_reused_matches_scalar([-2.5, math.nan, -1e6], 0.3)
+    _assert_reused_matches_scalar([-2.5, -1e6, math.nan], 0.3)
+    assert _assert_reused_matches_scalar([], 0.3) == set()
 
 
 # ------------------------------------------------------------- sign scan
 
-def _assert_signs_match_many(sigmas, a, params=EvalParams()):
-    """hurwitz_zeta_signs equals the signs of hurwitz_zeta_many, or raises
-    what it raises first."""
+def _signs(sigmas, a, params=EvalParams()):
+    ev = Evaluator(a, params)
+    return [ev.sign(s) for s in sigmas]
+
+
+def _assert_signs_match_scalar(sigmas, a, params=EvalParams()):
+    """One Evaluator's `sign` across sigmas equals the signs of fresh scalar
+    values, or raises what the scalar loop raises first."""
     try:
-        values, _ = hurwitz_zeta_many(sigmas, a, params)
+        values = [hurwitz_zeta(s, a, params) for s in sigmas]
     except (AccuracyError, ValueError) as exc:
         with pytest.raises(type(exc)) as got:
-            hurwitz_zeta_signs(sigmas, a, params)
+            _signs(sigmas, a, params)
         assert str(got.value) == str(exc)
         if isinstance(exc, AccuracyError):
             assert got.value.achieved_bound == exc.achieved_bound
         return
-    assert hurwitz_zeta_signs(sigmas, a, params) == [
+    assert _signs(sigmas, a, params) == [
         (v > 0.0) - (v < 0.0) for v in values]
 
 
@@ -323,13 +330,13 @@ def _strip_grid(N, points):
 
 def _count_full_calls(monkeypatch):
     calls = [0]
-    full = hurwitz_module._Evaluator.__call__
+    full = Evaluator.__call__
 
-    def counted(self, *args):
+    def counted(self, sigma):
         calls[0] += 1
-        return full(self, *args)
+        return full(self, sigma)
 
-    monkeypatch.setattr(hurwitz_module._Evaluator, "__call__", counted)
+    monkeypatch.setattr(Evaluator, "__call__", counted)
     return calls
 
 
@@ -339,7 +346,7 @@ def test_signs_match_many_on_strip_grids():
         for N in range(3, 31):
             # guarded mpmath serves N >= 21 in both: fewer points suffice
             points = 200 if N < 21 else 6
-            _assert_signs_match_many(
+            _assert_signs_match_scalar(
                 sorted(rng.uniform(-N - 1, -N) for _ in range(points)), a)
 
 
@@ -353,8 +360,8 @@ def test_signs_match_many_packed_around_zeros(monkeypatch):
         for z in zeros:
             calls[0] = 0
             sigmas = [z.sigma + i * 1e-12 for i in range(-20, 21)]
-            _assert_signs_match_many(sigmas, a)
-            assert calls[0] >= 2 * len(sigmas)  # signs' and many's
+            _assert_signs_match_scalar(sigmas, a)
+            assert calls[0] >= 2 * len(sigmas)  # sign's and the scalar's
 
 
 def test_signs_match_many_off_the_fourier_path():
@@ -364,31 +371,32 @@ def test_signs_match_many_off_the_fourier_path():
               + [rng.uniform(-30.0, 1.0) for _ in range(100)])
     rng.shuffle(sigmas)
     for a in (1.0, 0.37, 1e-6):
-        _assert_signs_match_many(sigmas, a)
+        _assert_signs_match_scalar(sigmas, a)
         # a target at or above the loose one evaluates every point in full
-        _assert_signs_match_many(sigmas, a, EvalParams(target_abs_error=1e-3))
+        _assert_signs_match_scalar(sigmas, a,
+                                   EvalParams(target_abs_error=1e-3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-30.0, 0.999), min_size=1, max_size=40),
        st.floats(1e-9, 1.0))
 def test_signs_match_many_random(sigmas, a):
-    _assert_signs_match_many(sigmas, a)
+    _assert_signs_match_scalar(sigmas, a)
 
 
 def test_signs_raise_where_many_raises():
-    # a term cap below what the Fourier series needs near sigma = -3
-    capped = EvalParams(max_cutoff=100)
+    # a target that needs more Fourier terms than the cap near sigma = -3
+    capped = EvalParams(target_abs_error=1e-15)
     with pytest.raises(AccuracyError, match="sigma=-3.01,"):
-        hurwitz_zeta_signs([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
-    _assert_signs_match_many([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
+        _signs([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
+    _assert_signs_match_scalar([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
     # a target no float sum can reach: the first inexact point fails
     tight = EvalParams(target_abs_error=1e-60)
-    _assert_signs_match_many([-5.0, -8.0, -7.5, 0.5, -2.5], 0.3, tight)
-    _assert_signs_match_many([-2.5, math.nan, -1e6], 0.3)
-    _assert_signs_match_many([-7.5, -1e6, math.nan], 0.3)
-    _assert_signs_match_many([-7.5, 1.0], 0.3)
-    assert hurwitz_zeta_signs([], 0.3) == []
+    _assert_signs_match_scalar([-5.0, -8.0, -7.5, 0.5, -2.5], 0.3, tight)
+    _assert_signs_match_scalar([-2.5, math.nan, -1e6], 0.3)
+    _assert_signs_match_scalar([-7.5, -1e6, math.nan], 0.3)
+    _assert_signs_match_scalar([-7.5, 1.0], 0.3)
+    assert _signs([], 0.3) == []
 
 
 def test_signs_take_the_cheap_path(monkeypatch):
@@ -397,7 +405,7 @@ def test_signs_take_the_cheap_path(monkeypatch):
     for _ in range(10):
         a = rng.uniform(0.0, 1.0) or 1.0
         calls[0] = 0
-        hurwitz_zeta_signs(_strip_grid(3, 512), a)
+        _signs(_strip_grid(3, 512), a)
         assert calls[0] <= 5
 
 

@@ -26,6 +26,7 @@ from hurwitz_real_zeros.zero_analysis import (
     polynomial_roots_in_unit,
     predict_zero,
     predict_zero_explicit,
+    scan_grid,
     spira_region_bound,
     uniqueness_check,
     verify_case,
@@ -147,26 +148,41 @@ def test_locate_zeros_validation():
         locate_zeros(1, 0.4, refine_tol=-1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_non_finite_refine_tol_rejected(tol):
+    # either one skips bisection: zeros with half-width 9.8e-4 came back
+    with pytest.raises(ValueError, match="refine_tol must be finite"):
+        scan_grid(1, 512, tol)
+    with pytest.raises(ValueError, match="refine_tol must be finite"):
+        locate_zeros(1, 0.4, 512, tol)
+
+
 def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
-    calls = {"signs": [], "scalar": 0}
-    signs = zero_analysis.hurwitz_zeta_signs
+    made, scalar_calls = [], [0]
     scalar = zero_analysis.hurwitz_zeta
 
-    def count_signs(sigmas, *args):
-        calls["signs"].append(len(sigmas))
-        return signs(sigmas, *args)
+    class CountedEvaluator(zero_analysis.Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.signs = 0
+            made.append(self)
+
+        def sign(self, sigma):
+            self.signs += 1
+            return super().sign(sigma)
 
     def count_scalar(*args):
-        calls["scalar"] += 1
+        scalar_calls[0] += 1
         return scalar(*args)
 
-    monkeypatch.setattr(zero_analysis, "hurwitz_zeta_signs", count_signs)
+    monkeypatch.setattr(zero_analysis, "Evaluator", CountedEvaluator)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
+    # one evaluator per scan; bisection steps reuse it, and each located
+    # zero makes one scalar call for its residual
     assert len(locate_zeros(1, 0.4, 512, 1e-10)) == 1
-    # bisection alone makes scalar calls: about 33 steps and one residual
-    assert calls["signs"] == [512] and 0 < calls["scalar"] < 64
+    assert [ev.signs for ev in made] == [512] and scalar_calls[0] == 1
     assert uniqueness_check(2, 0.3) == 1
-    assert calls["signs"] == [512, 510] and calls["scalar"] < 64
+    assert [ev.signs for ev in made] == [512, 510] and scalar_calls[0] == 1
 
 
 def test_scan_imports_neither_numpy_nor_scipy():
@@ -279,6 +295,13 @@ def test_verify_skips_near_roots():
     case = verify_case(0, 0.5)
     assert case.agrees is None
     assert "skipped" in case.note
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_verify_rejects_non_finite_delta(delta):
+    # a NaN delta never skips a cell near a root, an infinite one skips all
+    with pytest.raises(ValueError, match="exclusion_delta must be finite"):
+        verify_theorem([0.3], 0, 1, exclusion_delta=delta)
 
 
 def test_verify_validation():
