@@ -5,10 +5,11 @@ field of `EvalResult` names the one that served a call):
 
 - sigma >= `FOURIER_CROSSOVER` (-3): Euler-Maclaurin -- head sum, integral
   term, half term, then even-Bernoulli corrections with the
-  first-omitted-term remainder bound -- in floats (`float-em`), or on
-  `mpmath` floats with guard precision (`mpf-em`) when head-sum rounding
-  would eat the error budget: targets tighter than the 1e-10 default, or
-  sigma > 0 with small a.
+  first-omitted-term remainder bound -- in floats (`float-em`, its bound
+  covering float rounding too), or on `mpmath` floats with guard precision
+  (`mpf-em`) when head-sum rounding would eat the error budget: targets
+  tighter than the 1e-10 default, sigma > 0 with small a, or sigma so near
+  the pole that |zeta| passes about 2e4.
 - sigma < -3, integer: the exact value -B_n(a)/n at n = 1 - sigma
   (`exact`), rounded once to a float.
 - sigma < -3, otherwise: Hurwitz's Fourier series in floats (`fourier`),
@@ -32,11 +33,13 @@ more set-up time and memory than a scan.
 
 `Evaluator.sign(sigma)` returns the sign of that value, which is all a
 zero scan uses.  At a point the full call would serve by the Fourier
-series, it first sums the series to `SIGN_SCAN_TARGET` (1e-4), a few terms
-instead of up to 372.  If that value v' exceeds its bound b' by more than
-the target, then |zeta| > target, and the full value, within target of
-zeta, has the sign of v'.  Every other point -- the few near a zero, and
-every float-em, mpf-em and exact point -- is evaluated in full.
+series or by float Euler-Maclaurin, it first sums to `SIGN_SCAN_TARGET`
+(1e-4): the series with a few terms instead of up to 372, or
+Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms instead of 20.  If that
+value v' exceeds its bound b' (truncation and rounding) by more than the
+target, then |zeta| > target, and the full value, within target of zeta,
+has the sign of v'.  Every other point -- the few near a zero, and every
+mpf-em and exact point -- is evaluated in full.
 """
 
 from __future__ import annotations
@@ -87,14 +90,25 @@ _TWO_PI = 2.0 * math.pi
 #: The Fourier series reaches 1e-10 in 5-372 float terms for sigma < -3.
 FOURIER_CROSSOVER = -3.0
 
-#: `Evaluator.sign` sums the Fourier series to this looser target first
-#: and keeps that sign where the value clears its bound by the full target.
-#: The `deep` benchmark (8 s runs, seeds 81-84, 2-core x86-64) ran 469-485
-#: items/s at 1e-6, 510-537 at 1e-5, 524-596 at 1e-4 and 556-562 at 1e-3.
-#: Averaged over 40 seeded a, the full evaluator then served at most 0.03,
-#: 0.33, 2.4 and 7.9 points of a 512-point grid on any strip N = 3..7 or
-#: uniqueness interval M = 2..5.  1e-4 keeps the speed with few fallbacks.
+#: `Evaluator.sign` sums the Fourier series, or float Euler-Maclaurin, to
+#: this looser target first and keeps that sign where the value clears its
+#: bound by the full target.  The `deep` benchmark (8 s runs, seeds 81-84,
+#: 2-core x86-64) ran 469-485 items/s at 1e-6, 510-537 at 1e-5, 524-596 at
+#: 1e-4 and 556-562 at 1e-3.  Averaged over 40 seeded a, the full evaluator
+#: then served at most 0.03, 0.33, 2.4 and 7.9 points of a 512-point grid
+#: on any strip N = 3..7 or uniqueness interval M = 2..5.  On the float-EM
+#: strips N = -1..2 it serves 0.12-0.22 points of a 512-point grid (mean
+#: over 58 seeded a >= 0.01, any head length below).  1e-4 keeps the speed
+#: with few fallbacks.
 SIGN_SCAN_TARGET = 1e-4
+
+#: Head terms of `Evaluator.sign`'s loose Euler-Maclaurin sum (20 in full).
+#: On the scan grids of N = -1..2 (2-core x86-64, 4 seeded a, median of
+#: 150 interleaved rounds) a loose sign cost 0.667, 0.670, 0.680, 0.695,
+#: 0.711 and 0.739 full calls with 2, 3, 4, 5, 6 and 8 terms.  Every sum
+#: reached 1e-4 within two corrections, but with 2 terms half the points
+#: needed the second; 3 also leaves the loop room for five orders.
+SIGN_HEAD_TERMS = 3
 
 #: Most Euler-Maclaurin head terms, and most Fourier terms, one call sums.
 MAX_CUTOFF = 10_000
@@ -265,7 +279,7 @@ class Evaluator:
     def __init__(self, a: float, params: EvalParams = EvalParams()):
         self.a = check_shift(a)
         self.params = params
-        self._bases = {}
+        self._heads = {}  # M: (bases n + a, q = M + a, ln q, sqrt(2) pi q)
         self._angles = [0.0]  # index k; k = 0 is never summed
 
     def __call__(self, sigma: float):
@@ -286,12 +300,14 @@ class Evaluator:
                 n, pref, bound = plan
                 return pref * self._fourier_sum(sigma, n), bound, "fourier"
         M = _default_cutoff(sigma)
-        if _needs_guard_precision(sigma, a, M, target):
-            val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
-            path = "mpf-em"
-        else:
+        guard = _needs_guard_precision(sigma, a, M, target)
+        if not guard:
             val, bound = self._em_float(sigma, M, target)
             path = "float-em"
+        if guard or bound > target:
+            # guarded, or float rounding left truncation too little room
+            val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
+            path = "mpf-em"
         if bound > target:
             raise AccuracyError(
                 f"achieved bound {bound:.3e} exceeds target {target:.3e} "
@@ -301,34 +317,92 @@ class Evaluator:
         return val, bound, path
 
     def _em_float(self, sigma: float, M: int, target: float):
-        a = self.a
-        bases = self._bases.get(M)
-        if bases is None:
-            bases = self._bases[M] = [n + a for n in range(M)]
-        q = M + a
+        """Euler-Maclaurin in floats with M head terms: (value, bound), the
+        bound covering truncation and float rounding.  The bound is
+        infinite when rounding alone reaches `target`."""
+        head_plan = self._heads.get(M)
+        if head_plan is None:
+            a = self.a
+            q = M + a
+            head_plan = self._heads[M] = (
+                [n + a for n in range(M)], q, math.log(q),
+                math.sqrt(2.0) * math.pi * q)
+        bases, q, ln_q, reach = head_plan
+        x = 1.0 - sigma
         head = math.fsum([b ** -sigma for b in bases])
-        total = head + q ** (1.0 - sigma) / (sigma - 1.0) + 0.5 * q ** -sigma
+        integral = q ** x / (sigma - 1.0)
+        half = 0.5 * q ** -sigma
+        partial = head + integral
+        total = partial + half
+        # First-order rounding in units u = eps/2, libm's pow taken as good
+        # to 1 ulp (2u):
+        # - head: b = n + a is off by u relative, so b^-sigma by |sigma| u,
+        #   plus 2u for the pow, and fsum rounds once.  Every term is
+        #   positive, so their magnitudes sum to head: (|sigma| + 3) u head.
+        # - integral q^x/(sigma - 1): q off by u moves it by |x| u; x =
+        #   fl(1 - sigma) is off by dx, computed exactly, which moves q^x by
+        #   |dx| ln q and, as sigma - 1 rounds to -x, the divisor by |dx/x|;
+        #   pow and division 3u.  Half term (|sigma| + 2) u, two additions.
+        # - corrections: below kmax, |T_(k+1)/T_k| <= ((|sigma| + 2k) /
+        #   (2 pi q))^2 <= 1/2 (as |B_2k|/(2k)! = 2 zeta(2k)/(2 pi)^2k), so
+        #   |T_k| <= 2^(1-k) |T_1|, |T_1| = |sigma| half/(6q).  Term k is off
+        #   by at most (9k + |sigma| + |sigma + 1| ln q) u: 4u in B_2k/(2k)!,
+        #   4u per Pochhammer step, |sigma + 2k - 1| u from q and
+        #   |sigma + 1| u ln q from -sigma - 1 in q^(-sigma-2k+1), 3u per
+        #   q^-2 step, 2u for pow and 2u for the product.  Summed over k:
+        #   (36 + 2|sigma| + 2|sigma + 1| ln q) u |T_1|.  Each of the at
+        #   most 30 additions rounds a partial sum under |total| + 2|T_1|,
+        #   hence the 96 and the 31 below.
+        s_abs = abs(sigma)
+        integral_abs = abs(integral)
+        rounding = 0.5 * _EPS * (
+            (s_abs + 3.0) * head + (abs(x) + 3.0) * integral_abs
+            + (s_abs + 2.0 + (96.0 + 2.0 * (s_abs + abs(sigma + 1.0) * ln_q))
+               * s_abs / (6.0 * q)) * half
+            + abs(partial) + 31.0 * abs(total))
+        dx = math.fsum((1.0, -sigma, -x))
+        if dx:
+            rounding += abs(dx) * (ln_q + 1.0 / abs(x)) * integral_abs
+        if rounding >= target:
+            return total, math.inf
+        kmax = MAX_CORRECTION_ORDER
+        if s_abs + 2 * kmax > reach:
+            kmax = int((reach - s_abs) / 2.0)
         kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        return _correction_loop(sigma, q, total, MAX_CORRECTION_ORDER, kmin,
-                                target, _em_coef)
+        val, bound = _correction_loop(sigma, q, total, kmax, kmin,
+                                      target - rounding, _em_coef)
+        return val, bound + rounding
 
     def sign(self, sigma: float) -> int:
         """Sign (-1, 0 or 1) of self(sigma)[0].
 
-        Where self(sigma) would succeed on the Fourier series, the series is
-        first summed to `SIGN_SCAN_TARGET`.  If that value v' exceeds its
-        bound b' by more than the target, then |zeta| > target >=
-        |value - zeta|, so sign(v') is the sign of the full value.  Every
-        other point is evaluated in full.
+        Where self(sigma) would succeed on the Fourier series, or on float
+        Euler-Maclaurin in [-3, 1), a cheaper sum to `SIGN_SCAN_TARGET`
+        comes first: the series with fewer terms, or Euler-Maclaurin with
+        `SIGN_HEAD_TERMS` head terms.  If that value v' exceeds its bound b'
+        (truncation and rounding) by more than the target, then |zeta| >
+        target >= |value - zeta|, so sign(v') is the sign of the full value.
+        Every other point is evaluated in full.
         """
         sigma = float(sigma)
         target = self.params.target_abs_error
-        if (sigma < FOURIER_CROSSOVER and not sigma.is_integer()
-                and target < SIGN_SCAN_TARGET):
-            plan = self._fourier_plan(sigma, target, SIGN_SCAN_TARGET)
-            if plan is not None:
-                n, pref, bound = plan
-                val = pref * self._fourier_sum(sigma, n)
+        if target < SIGN_SCAN_TARGET:
+            if sigma < FOURIER_CROSSOVER:
+                if not sigma.is_integer():
+                    plan = self._fourier_plan(sigma, target, SIGN_SCAN_TARGET)
+                    if plan is not None:
+                        n, pref, bound = plan
+                        val = pref * self._fourier_sum(sigma, n)
+                        if abs(val) - bound > target:
+                            return 1 if val > 0.0 else -1
+            elif sigma < 1.0 and not _needs_guard_precision(
+                    sigma, self.a, _default_cutoff(sigma), target):
+                # unguarded, the full call cannot fail: where float EM's
+                # rounding leaves too little room it falls back to mpf-em,
+                # whose order-30 truncation bound on [-3, 1) lies far below
+                # eps times the head-sum peak, so below the target
+                val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
+                                            SIGN_SCAN_TARGET)
                 if abs(val) - bound > target:
                     return 1 if val > 0.0 else -1
         val = self(sigma)[0]

@@ -7,9 +7,9 @@ exact rational arithmetic; the harness scans the evaluator for sign changes
 and refines them by bisection, with neither side trusting the other.  Each
 scan builds one `Evaluator` and takes each grid point's sign from
 `Evaluator.sign`, which is the sign of the full value, certified from a
-cheaper Fourier sum where its error bound allows.  Bisection steps take
-full values from that same evaluator; each residual is one `hurwitz_zeta`
-call.
+cheaper Fourier or Euler-Maclaurin sum where its error bound allows.
+Bisection steps take full values from that same evaluator; each residual
+is one `hurwitz_zeta` call.
 """
 
 from __future__ import annotations
@@ -265,6 +265,12 @@ def polynomial_roots_in_unit(m: int, root_tol: float = 1e-13):
     return (0.5, 1.0)
 
 
+def _check_exclusion_delta(delta: float) -> None:
+    # a NaN delta would never skip a cell near a root, an infinite one all
+    if not 0.0 < delta < math.inf:
+        raise ValueError("exclusion_delta must be finite and positive")
+
+
 def _case_boundary_distance(N: int, a: float) -> float:
     roots = (polynomial_roots_in_unit(N + 1)
              + polynomial_roots_in_unit(N + 2))
@@ -280,6 +286,7 @@ def verify_case(
     params: EvalParams = EvalParams(),
 ) -> CaseResult:
     """One (N, a) cell of the theorem sweep."""
+    _check_exclusion_delta(exclusion_delta)
     pred = predict_zero(N, a)
     zeros, agrees = (), None
     if _case_boundary_distance(N, a) <= exclusion_delta:
@@ -317,8 +324,7 @@ def verify_theorem(
     (and boundary predictions) are excluded from the agreement statistics.
     Cases run in deterministic (N, a) order.
     """
-    if not 0.0 < exclusion_delta < math.inf:
-        raise ValueError("exclusion_delta must be finite and positive")
+    _check_exclusion_delta(exclusion_delta)
     if N_min < -1 or N_max < N_min:
         raise ValueError("need -1 <= N_min <= N_max")
     for a in a_grid:

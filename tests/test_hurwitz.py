@@ -29,7 +29,7 @@ from hurwitz_real_zeros.hurwitz import (
     integrand_G,
     riemann_zeta,
 )
-from hurwitz_real_zeros.zero_analysis import locate_zeros
+from hurwitz_real_zeros.zero_analysis import locate_zeros, scan_grid
 
 F = Fraction
 TIGHT = EvalParams(target_abs_error=1e-12)
@@ -173,6 +173,77 @@ def test_fourier_against_mpmath():
         assert err <= res.error_bound <= target, (sigma, a, err)
 
 
+def _mp_error(value, sigma, a):
+    """|value - zeta(sigma, a)|, the difference taken at 40 digits."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value)
+                         - mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))))
+
+
+def test_float_em_against_mpmath():
+    # the bound covers float rounding as well as truncation
+    rng = random.Random(20161027)
+    target = EvalParams().target_abs_error
+    points = [(rng.uniform(-3.0, 1.0), a)
+              for a in (1.0, 0.5, 0.01) for _ in range(80)]
+    points += [(rng.uniform(-3.0, 1.0), rng.uniform(0.01, 1.0))
+               for _ in range(80)]
+    # the largest rounding bounds, about 7.2e-11: head sum and integral
+    # term near 4.4e4 each at sigma = -3, a near 1
+    points += [(-3.0, 1.0), (-3.0, 0.999), (-3.0 + 1e-13, 0.9999695868408576)]
+    # truncation alone was bounded by 9.99e-11 here when rounding was left
+    # out; rounding took the error to 1.017e-10, past the target
+    points.append((-1.9937549988012389, 0.09755214690691605))
+    for sigma, a in points:
+        res = hurwitz_zeta_detailed(sigma, a)
+        assert res.path == "float-em", (sigma, a)
+        err = _mp_error(res.value, sigma, a)
+        assert err <= res.error_bound <= target, (sigma, a, err)
+
+
+def test_float_em_route_kept_at_default_target():
+    # every point of the scanned range [-3, 0.99] with a >= 0.01 passes
+    # the guard and stays on float-em with rounding in its bound.  (Nearer
+    # the pole at 1, where |zeta| passes about 2e4, float rounding alone
+    # exceeds 1e-10 and mpf-em serves.)
+    rng = random.Random(20161028)
+    points = [(rng.uniform(-3.0, 0.99), rng.uniform(0.01, 1.0))
+              for _ in range(1500)]
+    points += [(rng.uniform(-3.0, 0.99), a)
+               for a in (1.0, 0.5, 0.01) for _ in range(100)]
+    points += [(-3.0 + 10.0 ** -rng.uniform(1.0, 15.0),
+                1.0 - 10.0 ** -rng.uniform(1.0, 15.0)) for _ in range(300)]
+    points += [(-3.0, 1.0), (0.99, 0.01)]
+    for sigma, a in points:
+        assert hurwitz_zeta_detailed(sigma, a).path == "float-em", (sigma, a)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 2e-11, 1e-12, 1e-14])
+def test_float_em_rounding_moves_to_mpf_em(tol):
+    # where float rounding leaves too little of a target for truncation,
+    # the call moves to mpf-em instead of failing
+    params = EvalParams(target_abs_error=tol)
+    rng = random.Random(20161029)
+    for _ in range(40):
+        sigma, a = rng.uniform(-3.0, 0.99), rng.uniform(0.01, 1.0)
+        res = hurwitz_zeta_detailed(sigma, a, params)
+        assert res.path in ("float-em", "mpf-em")
+        if res.path == "float-em":
+            assert _mp_error(res.value, sigma, a) <= res.error_bound <= tol
+
+
+def test_float_em_rounding_over_target_moves_to_mpf_em():
+    # the guard passes this point (its head rounding estimate is 4.4e-12),
+    # but the float rounding bound, 3.2e-11, exceeds a 2e-11 target
+    sigma, a = -2.75, 0.5
+    params = EvalParams(target_abs_error=2e-11)
+    assert not hurwitz_module._needs_guard_precision(sigma, a, 20, 2e-11)
+    assert hurwitz_zeta_detailed(sigma, a).path == "float-em"
+    res = hurwitz_zeta_detailed(sigma, a, params)
+    assert res.path == "mpf-em"
+    assert _mp_error(res.value, sigma, a) <= res.error_bound <= 2e-11
+
+
 def test_float_em_miss_below_crossover():
     # float Euler-Maclaurin missed the 1e-10 target here by 2.6x
     sigma, a = -3.4807649152658082, 0.9493694307689811
@@ -240,11 +311,11 @@ def _assert_reused_matches_scalar(sigmas, a, params=EvalParams()):
 
 @pytest.mark.parametrize("sigma, a, path, value, bound", [
     (-2.5, 0.37, "float-em",
-     "-0x1.4a36461c5ddefp-7", "0x1.cc98419fb55c0p-37"),
+     "-0x1.4a36461c5ddefp-7", "0x1.eb31d846937c1p-36"),
     (0.5, 0.9, "float-em",
-     "-0x1.5306baf2c1959p+0", "0x1.d72da53d0a565p-35"),
+     "-0x1.5306baf2c1959p+0", "0x1.d74718c1fd2c2p-35"),
     (30.0, 1.0, "float-em",
-     "0x1.0000000400016p+0", "0x1.7c0aed6ea43b3p-172"),
+     "0x1.0000000400016p+0", "0x1.0400000410017p-47"),
     (-7.5, 0.37, "fourier",
      "0x1.1c7122d1be607p-13", "0x1.78cc08325c505p-35"),
     (-25.5, 0.37, "mpf-em",
@@ -354,7 +425,8 @@ def test_signs_match_many_packed_around_zeros(monkeypatch):
     # points 1e-12 apart straddle each zero: the loose sum cannot certify
     # them, so the full evaluator decides, and still agrees
     calls = _count_full_calls(monkeypatch)
-    for N, a in ((3, 0.3), (4, 0.1), (5, 0.9), (8, 0.7)):
+    for N, a in ((-1, 0.3), (0, 0.1), (0, 0.7), (1, 0.3), (2, 0.6),
+                 (3, 0.3), (4, 0.1), (5, 0.9), (8, 0.7)):
         zeros = locate_zeros(N, a)
         assert zeros
         for z in zeros:
@@ -404,9 +476,26 @@ def test_signs_take_the_cheap_path(monkeypatch):
     rng = random.Random(3)
     for _ in range(10):
         a = rng.uniform(0.0, 1.0) or 1.0
-        calls[0] = 0
-        _signs(_strip_grid(3, 512), a)
-        assert calls[0] <= 5
+        for N in range(-1, 4):  # float-em strips, then the Fourier series
+            calls[0] = 0
+            _signs(_strip_grid(N, 512), a)
+            assert calls[0] <= 5, (N, a)
+
+
+def test_signs_match_scalar_on_float_em_grids():
+    # scan grids of the float-em strips, with a seeded number of points
+    rng = random.Random(11)
+    for a in (1.0, 0.5, 0.01, 1e-6, rng.uniform(0.0, 1.0) or 1.0):
+        for N in range(-1, 3):
+            _assert_signs_match_scalar(
+                scan_grid(N, rng.randrange(64, 513), 1e-10), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 0.999), min_size=1, max_size=40),
+       st.floats(1e-9, 1.0))
+def test_signs_match_scalar_on_float_em_random(sigmas, a):
+    _assert_signs_match_scalar(sigmas, a)
 
 
 # ------------------------------------------------------------------ gamma

@@ -304,6 +304,14 @@ def test_verify_rejects_non_finite_delta(delta):
         verify_theorem([0.3], 0, 1, exclusion_delta=delta)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_verify_case_rejects_bad_delta(delta):
+    # with a NaN delta the cell at a = 1/2, a root of B_1, was not skipped
+    with pytest.raises(ValueError,
+                       match="exclusion_delta must be finite and positive"):
+        verify_case(0, 0.5, exclusion_delta=delta)
+
+
 def test_verify_validation():
     with pytest.raises(ValueError):
         verify_theorem([0.3], 0, 1, exclusion_delta=0.0)
