@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb, inf, lcm
 from typing import Sequence, Tuple, Union
 
 __all__ = [
@@ -51,7 +51,7 @@ class BernoulliPolynomial:
         if len(self.coefficients) != self.degree + 1:
             raise ValueError("coefficient vector must have degree+1 entries")
 
-    @property
+    @cached_property
     def float_coefficients(self) -> Tuple[float, ...]:
         return tuple(float(c) for c in self.coefficients)
 
@@ -109,6 +109,13 @@ def bernoulli_polynomial(n: int) -> BernoulliPolynomial:
     return BernoulliPolynomial(n, tuple(coeffs))
 
 
+def _float_horner(coeffs: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def eval_poly(p: BernoulliPolynomial, x: Number):
     """Evaluate p at x: exact when x is rational, float Horner otherwise.
 
@@ -127,23 +134,12 @@ def eval_poly(p: BernoulliPolynomial, x: Number):
             vpow *= v
             acc = acc * u + c * vpow
         return Fraction(acc, d * vpow)
-    xf = float(x)
-    accf = 0.0
-    for c in reversed(p.float_coefficients):
-        accf = accf * xf + c
-    return accf
+    return _float_horner(p.float_coefficients, float(x))
 
 
 def derivative_coefficients(p: BernoulliPolynomial) -> Tuple[Fraction, ...]:
     """Coefficients of p'; equals n * B_(n-1) coefficient-by-coefficient."""
     return tuple(k * c for k, c in enumerate(p.coefficients) if k > 0)
-
-
-def _float_horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _refine_root(coeffs, dcoeffs, lo, hi, tol):
@@ -189,8 +185,8 @@ def even_roots(n: int, tol: float = 1e-13) -> EvenRootPair:
     The initial brackets [0,1/2] and [1/2,1] are guaranteed: B_n(0) = B_n and
     B_n(1/2) = (2^(1-n)-1) B_n carry opposite signs for even n.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < inf:
+        raise ValueError("tolerance must be finite and positive")
     if n < 2 or n % 2 != 0:
         raise ValueError("even index >= 2 required")
     p = bernoulli_polynomial(n)

@@ -6,21 +6,23 @@ field of `EvalResult` names the one that served a call):
 - sigma >= `FOURIER_CROSSOVER` (-3): Euler-Maclaurin -- head sum, integral
   term, half term, then even-Bernoulli corrections with the
   first-omitted-term remainder bound -- in floats (`float-em`, its bound
-  covering float rounding too), or on `mpmath` floats with guard precision
-  (`mpf-em`) when head-sum rounding would eat the error budget: targets
-  tighter than the 1e-10 default, sigma > 0 with small a, or sigma so near
-  the pole that |zeta| passes about 2e4.
+  covering float rounding too).  Where that bound misses the target, float
+  rounding having left truncation too little of it, the point is summed
+  again on `mpmath` floats with guard precision (`mpf-em`): at targets
+  tighter than the 1e-10 default, for sigma > 0 with small a, and for
+  sigma so near the pole that |zeta| passes about 2e4.
 - sigma < -3, integer: the exact value -B_n(a)/n at n = 1 - sigma
   (`exact`), rounded once to a float.
 - sigma < -3, otherwise: Hurwitz's Fourier series in floats (`fourier`),
   which has no head-sum cancellation for sigma < 0; its bound covers the
   series tail and float rounding.  Below sigma = -21 the terms grow so
   large that float rounding alone passes half the default target, and
-  guarded `mpf-em` serves instead.
+  Euler-Maclaurin serves instead, as `mpf-em` (float rounding is larger
+  still there).
 
 The returned value is always an ordinary float.  sigma must be finite;
-where the head sum's peak magnitude overflows a float, the call raises
-`AccuracyError` with an infinite bound.
+where a float Euler-Maclaurin head, integral or half term overflows, the
+call raises `AccuracyError` with an infinite bound.
 
 `Evaluator(a, params)` is zeta(., a) as an object, and the scalar
 `hurwitz_zeta` and `hurwitz_zeta_detailed` build one per call.  Reusing
@@ -31,15 +33,15 @@ point needs (the float Euler-Maclaurin coefficients B_2k/(2k)! are cached
 per k for the process).  It stays in pure Python: importing numpy costs
 more set-up time and memory than a scan.
 
-`Evaluator.sign(sigma)` returns the sign of that value, which is all a
-zero scan uses.  At a point the full call would serve by the Fourier
-series or by float Euler-Maclaurin, it first sums to `SIGN_SCAN_TARGET`
-(1e-4): the series with a few terms instead of up to 372, or
-Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms instead of 20.  If that
-value v' exceeds its bound b' (truncation and rounding) by more than the
-target, then |zeta| > target, and the full value, within target of zeta,
-has the sign of v'.  Every other point -- the few near a zero, and every
-mpf-em and exact point -- is evaluated in full.
+`Evaluator.sign(sigma)` returns the certified sign of zeta(sigma, a),
+which is all a zero scan uses.  Below sigma = 1 it first sums to
+`SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few terms for sigma
+< -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms instead of 20 on
+[-3, 1).  If that value v' exceeds its bound b' (truncation and rounding)
+by more than the target, then |zeta| > target and v' has the sign of
+zeta, which is also the sign of the full value, within target of zeta.
+Only the other points -- the few near a zero -- are evaluated in full,
+so a scan needs no guarded mpmath below sigma = -21 except next to a zero.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -92,14 +93,14 @@ FOURIER_CROSSOVER = -3.0
 
 #: `Evaluator.sign` sums the Fourier series, or float Euler-Maclaurin, to
 #: this looser target first and keeps that sign where the value clears its
-#: bound by the full target.  The `deep` benchmark (8 s runs, seeds 81-84,
-#: 2-core x86-64) ran 469-485 items/s at 1e-6, 510-537 at 1e-5, 524-596 at
-#: 1e-4 and 556-562 at 1e-3.  Averaged over 40 seeded a, the full evaluator
-#: then served at most 0.03, 0.33, 2.4 and 7.9 points of a 512-point grid
-#: on any strip N = 3..7 or uniqueness interval M = 2..5.  On the float-EM
-#: strips N = -1..2 it serves 0.12-0.22 points of a 512-point grid (mean
-#: over 58 seeded a >= 0.01, any head length below).  1e-4 keeps the speed
-#: with few fallbacks.
+#: bound (truncation and rounding) by the full target.  The `deep`
+#: benchmark (8 s runs, seeds 81-84, 2-core x86-64) ran 469-485 items/s at
+#: 1e-6, 510-537 at 1e-5, 524-596 at 1e-4 and 556-562 at 1e-3.  Averaged
+#: over 40 seeded a, the full evaluator then served at most 0.03, 0.33, 2.4
+#: and 7.9 points of a 512-point grid on any strip N = 3..7 or uniqueness
+#: interval M = 2..5.  On the float-EM strips N = -1..2 it serves 0.12-0.22
+#: points of a 512-point grid (mean over 58 seeded a >= 0.01, any head
+#: length below).  1e-4 keeps the speed with few fallbacks.
 SIGN_SCAN_TARGET = 1e-4
 
 #: Head terms of `Evaluator.sign`'s loose Euler-Maclaurin sum (20 in full).
@@ -243,26 +244,15 @@ def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
         return float(val), bound
 
 
-def _needs_guard_precision(sigma: float, a: float, M: int,
-                           target: float) -> bool:
-    # Largest intermediate magnitude: head terms for sigma < 0, the leading
-    # term a^-sigma for sigma > 0.  Rounding ~ eps * magnitude * sqrt(M)
-    # must stay well under the absolute target.
-    try:
-        peak = (M + a) ** -sigma if sigma < 0.0 else a ** -sigma
-    except OverflowError:
-        raise AccuracyError(
-            f"head-sum magnitude overflows a float at sigma={sigma}, a={a}",
-            achieved_bound=math.inf,
-        ) from None
-    return _EPS * peak * math.sqrt(M + 4) > target / 2.0
-
-
 def _fourier_terms(s: float, pref: float, target: float) -> int:
     """The root n of pref * n^(1-s)/(s-1) = target/2, rounded up (and at
-    least 1): the Fourier term count, up to a rounding short by one."""
-    return max(1, math.ceil((2.0 * pref / ((s - 1.0) * target))
-                            ** (1.0 / (s - 1.0))))
+    least 1): the Fourier term count, up to a rounding short by one.  A root
+    that overflows a float (a target so tight that rounding swamps it)
+    reads as one term over `MAX_CUTOFF`."""
+    root = (2.0 * pref / ((s - 1.0) * target)) ** (1.0 / (s - 1.0))
+    if root == math.inf:
+        return MAX_CUTOFF + 1
+    return max(1, math.ceil(root))
 
 
 class Evaluator:
@@ -272,8 +262,9 @@ class Evaluator:
     bases n + a for each cutoff, and the Fourier angles 2 pi (k a mod 1),
     extended to the most terms any sigma has needed.  Calling it at sigma
     returns (value, error_bound, path), the same bit for bit as a fresh
-    instance would; `sign` returns the sign of that value, certified from a
-    cheaper sum where it can be.
+    instance would; float Euler-Maclaurin's own bound alone decides whether
+    a point moves to `mpf-em`.  `sign` returns the certified sign of zeta:
+    that of a cheaper sum where its bound allows, else that of the value.
     """
 
     def __init__(self, a: float, params: EvalParams = EvalParams()):
@@ -296,16 +287,23 @@ class Evaluator:
                     1 - int(sigma), Fraction(a))
                 return float(val), 0.0, "exact"
             plan = self._fourier_plan(sigma, target)
-            if plan is not None:
-                n, pref, bound = plan
-                return pref * self._fourier_sum(sigma, n), bound, "fourier"
+            # where rounding alone passes target/2, Euler-Maclaurin serves
+            if plan is not None and plan[3] <= target / 2.0:
+                n, pref, tail, rounding = plan
+                if n > MAX_CUTOFF:
+                    s = 1.0 - sigma
+                    tail = pref * MAX_CUTOFF ** (1.0 - s) / (s - 1.0)
+                    raise AccuracyError(
+                        f"Fourier series needs {n} terms, over the cap "
+                        f"{MAX_CUTOFF}, at sigma={sigma}, a={a}",
+                        achieved_bound=tail + rounding,
+                    )
+                return (pref * self._fourier_sum(sigma, n), tail + rounding,
+                        "fourier")
         M = _default_cutoff(sigma)
-        guard = _needs_guard_precision(sigma, a, M, target)
-        if not guard:
-            val, bound = self._em_float(sigma, M, target)
-            path = "float-em"
-        if guard or bound > target:
-            # guarded, or float rounding left truncation too little room
+        val, bound = self._em_float(sigma, M, target)
+        path = "float-em"
+        if bound > target:  # rounding left truncation too little room
             val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
             path = "mpf-em"
         if bound > target:
@@ -319,7 +317,9 @@ class Evaluator:
     def _em_float(self, sigma: float, M: int, target: float):
         """Euler-Maclaurin in floats with M head terms: (value, bound), the
         bound covering truncation and float rounding.  The bound is
-        infinite when rounding alone reaches `target`."""
+        infinite when rounding alone reaches `target`; a head, integral or
+        half term that overflows a float raises `AccuracyError` with an
+        infinite bound."""
         head_plan = self._heads.get(M)
         if head_plan is None:
             a = self.a
@@ -329,9 +329,16 @@ class Evaluator:
                 math.sqrt(2.0) * math.pi * q)
         bases, q, ln_q, reach = head_plan
         x = 1.0 - sigma
-        head = math.fsum([b ** -sigma for b in bases])
-        integral = q ** x / (sigma - 1.0)
-        half = 0.5 * q ** -sigma
+        try:
+            head = math.fsum([b ** -sigma for b in bases])
+            integral = q ** x / (sigma - 1.0)
+            half = 0.5 * q ** -sigma
+        except OverflowError:
+            raise AccuracyError(
+                f"head-sum magnitude overflows a float at sigma={sigma}, "
+                f"a={self.a}",
+                achieved_bound=math.inf,
+            ) from None
         partial = head + integral
         total = partial + half
         # First-order rounding in units u = eps/2, libm's pow taken as good
@@ -374,33 +381,28 @@ class Evaluator:
         return val, bound + rounding
 
     def sign(self, sigma: float) -> int:
-        """Sign (-1, 0 or 1) of self(sigma)[0].
+        """Certified sign (-1, 0 or 1) of zeta(sigma, a).
 
-        Where self(sigma) would succeed on the Fourier series, or on float
-        Euler-Maclaurin in [-3, 1), a cheaper sum to `SIGN_SCAN_TARGET`
-        comes first: the series with fewer terms, or Euler-Maclaurin with
-        `SIGN_HEAD_TERMS` head terms.  If that value v' exceeds its bound b'
-        (truncation and rounding) by more than the target, then |zeta| >
-        target >= |value - zeta|, so sign(v') is the sign of the full value.
-        Every other point is evaluated in full.
+        Below sigma = 1, with a target under `SIGN_SCAN_TARGET`, a cheap sum
+        to `SIGN_SCAN_TARGET` comes first: the Fourier series with a few
+        terms for sigma < -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head
+        terms on [-3, 1).  If that value v' exceeds its bound b' (truncation
+        and rounding) by more than the target, then |zeta| > target and
+        sign(v') is the sign of zeta, and of any value within target of it.
+        Otherwise the sign is that of self(sigma)[0].  So `sign` raises only
+        where self(sigma) raises and no cheap sum certifies.
         """
         sigma = float(sigma)
         target = self.params.target_abs_error
-        if target < SIGN_SCAN_TARGET:
+        if target < SIGN_SCAN_TARGET and sigma < 1.0:
             if sigma < FOURIER_CROSSOVER:
-                if not sigma.is_integer():
-                    plan = self._fourier_plan(sigma, target, SIGN_SCAN_TARGET)
-                    if plan is not None:
-                        n, pref, bound = plan
-                        val = pref * self._fourier_sum(sigma, n)
-                        if abs(val) - bound > target:
-                            return 1 if val > 0.0 else -1
-            elif sigma < 1.0 and not _needs_guard_precision(
-                    sigma, self.a, _default_cutoff(sigma), target):
-                # unguarded, the full call cannot fail: where float EM's
-                # rounding leaves too little room it falls back to mpf-em,
-                # whose order-30 truncation bound on [-3, 1) lies far below
-                # eps times the head-sum peak, so below the target
+                plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
+                if plan is not None:
+                    n, pref, tail, rounding = plan
+                    val = pref * self._fourier_sum(sigma, n)
+                    if abs(val) - (tail + rounding) > target:
+                        return 1 if val > 0.0 else -1
+            else:
                 val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
                                             SIGN_SCAN_TARGET)
                 if abs(val) - bound > target:
@@ -408,20 +410,18 @@ class Evaluator:
         val = self(sigma)[0]
         return (val > 0.0) - (val < 0.0)
 
-    def _fourier_plan(self, sigma: float, target: float,
-                      sum_target: Optional[float] = None):
+    def _fourier_plan(self, sigma: float, target: float):
         """Term count of Hurwitz's formula for sigma < -3 (the rounding
         bound below assumes s > 4).
 
         With s = 1 - sigma > 1 and 0 < a <= 1,
         zeta(sigma, a) = pref * sum_(k>=1) cos(pi s/2 - 2 pi k a) / k^s with
-        pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  To reach a target t,
+        pref = 2 Gamma(s)/(2 pi)^s (Apostol, Thm 12.6).  To reach `target`,
         the first n terms are summed, n least with tail bound
-        pref * n^(1-s)/(s-1) <= t/2.  Returns (n, pref, bound) for
-        t = `sum_target` (default `target`, not below it), the bound being
-        the tail plus float rounding, or None when the rounding bound alone
-        exceeds target/2.  Raises AccuracyError when reaching `target` would
-        take more than `MAX_CUTOFF` terms.
+        pref * n^(1-s)/(s-1) <= target/2.  Returns (n, pref, tail, rounding),
+        rounding being the float rounding bound of the n-term value, or None
+        where Gamma(s) overflows.  The caller judges whether rounding leaves
+        room for the target and whether n is within `MAX_CUTOFF`.
         """
         s = 1.0 - sigma
         if s > 170.0:
@@ -434,24 +434,12 @@ class Evaluator:
         # the product (1.5), the correctly rounded fsum (0.5) and pref
         # itself (22.5 + s/2, Gamma taken as good to 20 ulps).
         rounding = _EPS * pref * (s * (math.log(s * MAX_CUTOFF) + 12.0) + 44.0)
-        if rounding > target / 2.0:
-            return None
         n = _fourier_terms(s, pref, target)
-        if n > MAX_CUTOFF:
-            tail = pref * MAX_CUTOFF ** (1.0 - s) / (s - 1.0)
-            raise AccuracyError(
-                f"Fourier series needs {n} terms, over the cap {MAX_CUTOFF}, "
-                f"at sigma={sigma}, a={self.a}",
-                achieved_bound=tail + rounding,
-            )
-        if sum_target is not None:
-            target = sum_target
-            n = _fourier_terms(s, pref, target)
         tail = pref * n ** (1.0 - s) / (s - 1.0)
         if tail > target / 2.0:  # the rounded root fell just short
             n += 1
             tail = pref * n ** (1.0 - s) / (s - 1.0)
-        return n, pref, tail + rounding
+        return n, pref, tail, rounding
 
     def _fourier_sum(self, sigma: float, n: int) -> float:
         """sum_(k=1..n) cos(pi s/2 - 2 pi k a) / k^s, s = 1 - sigma."""

@@ -236,6 +236,14 @@ def test_even_roots_rejects_bad_input():
         even_roots(2, -1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_even_roots_rejects_bad_tolerance(tol):
+    # a NaN tolerance used to stop the refinement at once and return
+    # b^- = 0.25 with a NaN residual bound
+    with pytest.raises(ValueError, match="finite and positive"):
+        even_roots(4, tol)
+
+
 # ------------------------------------------------------------------ signs
 
 def test_sign_examples():

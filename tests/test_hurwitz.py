@@ -233,11 +233,9 @@ def test_float_em_rounding_moves_to_mpf_em(tol):
 
 
 def test_float_em_rounding_over_target_moves_to_mpf_em():
-    # the guard passes this point (its head rounding estimate is 4.4e-12),
-    # but the float rounding bound, 3.2e-11, exceeds a 2e-11 target
+    # the float rounding bound, 3.2e-11, exceeds a 2e-11 target
     sigma, a = -2.75, 0.5
     params = EvalParams(target_abs_error=2e-11)
-    assert not hurwitz_module._needs_guard_precision(sigma, a, 20, 2e-11)
     assert hurwitz_zeta_detailed(sigma, a).path == "float-em"
     res = hurwitz_zeta_detailed(sigma, a, params)
     assert res.path == "mpf-em"
@@ -268,6 +266,14 @@ def test_fourier_term_cap():
         # 16650 terms at this target, over the cap
         hurwitz_zeta(-3.01, 0.3, EvalParams(target_abs_error=1e-15))
     assert exc.value.achieved_bound > 1e-15
+
+
+def test_fourier_term_count_overflow_is_accuracy_error():
+    # the Fourier term count's root overflows a float at this target; float
+    # rounding passes it anyway, so Euler-Maclaurin serves and fails
+    with pytest.raises(AccuracyError) as exc:
+        hurwitz_zeta(-100.5, 0.3, EvalParams(target_abs_error=1e-300))
+    assert exc.value.achieved_bound == math.inf
 
 
 @pytest.mark.parametrize("sigma", [-math.inf, math.inf, math.nan])
@@ -320,6 +326,8 @@ def _assert_reused_matches_scalar(sigmas, a, params=EvalParams()):
      "0x1.1c7122d1be607p-13", "0x1.78cc08325c505p-35"),
     (-25.5, 0.37, "mpf-em",
      "-0x1.b3cf24a1884d9p+11", "0x1.716dc9385c899p-43"),
+    (0.9, 1e-6, "mpf-em",
+     "0x1.ea959b44be285p+17", "0x1.2292c4968add8p-34"),
     (-5.0, 0.7, "exact", "0x1.47be9745f137fp-10", "0x0.0p+0"),
 ])
 def test_values_frozen_bit_for_bit(sigma, a, path, value, bound):
@@ -457,18 +465,51 @@ def test_signs_match_many_random(sigmas, a):
 
 
 def test_signs_raise_where_many_raises():
-    # a target that needs more Fourier terms than the cap near sigma = -3
-    capped = EvalParams(target_abs_error=1e-15)
-    with pytest.raises(AccuracyError, match="sigma=-3.01,"):
-        _signs([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
-    _assert_signs_match_scalar([-7.5, -5.0, -3.01, -3.5], 0.3, capped)
-    # a target no float sum can reach: the first inexact point fails
-    tight = EvalParams(target_abs_error=1e-60)
-    _assert_signs_match_scalar([-5.0, -8.0, -7.5, 0.5, -2.5], 0.3, tight)
+    # the full call fails at 1e-15 (more Fourier terms than the cap near
+    # sigma = -3) and at 1e-60 (no float sum reaches it), from the point
+    # named on; the cheap sums still certify every sign
+    for target, sigmas, first in (
+            (1e-15, [-7.5, -5.0, -3.01, -3.5], -3.01),
+            (1e-60, [-5.0, -8.0, -7.5, 0.5, -2.5], -7.5)):
+        params = EvalParams(target_abs_error=target)
+        ev = Evaluator(0.3, params)
+        with pytest.raises(AccuracyError, match=f"sigma={first},"):
+            for sigma in sigmas:
+                ev(sigma)
+        assert _signs(sigmas, 0.3, params) == [
+            (z > 0.0) - (z < 0.0) for z in (_mp_zeta(s, 0.3) for s in sigmas)]
     _assert_signs_match_scalar([-2.5, math.nan, -1e6], 0.3)
     _assert_signs_match_scalar([-7.5, -1e6, math.nan], 0.3)
     _assert_signs_match_scalar([-7.5, 1.0], 0.3)
     assert _signs([], 0.3) == []
+
+
+def test_signs_below_sigma_21_match_mpmath(monkeypatch):
+    # guarded mpmath serves these points in full, and from N = 45 on fails;
+    # the loose Fourier sum certifies every sign.  mpmath.zeta takes a
+    # rational a = p/q through its reflection formula, which keeps it fast;
+    # the evaluator gets the float nearest p/q.
+    calls = _count_full_calls(monkeypatch)
+    rng = random.Random(20161030)
+    for _ in range(120):
+        N, q = rng.randint(21, 90), rng.randint(2, 24)
+        p = rng.randint(1, q)
+        sigma = rng.uniform(-N - 1, -N)
+        with mpmath.workdps(40):
+            z = mpmath.zeta(mpmath.mpf(sigma), (p, q))
+        assert Evaluator(p / q).sign(sigma) == mpmath.sign(z), (sigma, p, q)
+    assert calls[0] == 0
+
+
+def test_signs_match_scalar_packed_around_zeros_below_sigma_21():
+    # within about 1e-11 of these zeros the loose Fourier sum, off by up to
+    # 1e-8, cannot certify a sign, so guarded mpmath decides
+    for N, a in ((21, 0.35), (21, 0.46), (22, 0.7)):
+        zeros = locate_zeros(N, a, refine_tol=1e-13)
+        assert zeros
+        for z in zeros:
+            _assert_signs_match_scalar(
+                [z.sigma + i * 1e-12 for i in range(-20, 21)], a)
 
 
 def test_signs_take_the_cheap_path(monkeypatch):

@@ -89,6 +89,14 @@ def test_explicit_boundary_raises():
         predict_zero_explicit(1, 1.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_explicit_rejects_bad_root_tolerance(tol):
+    # with a NaN tolerance this returned True where predict_zero says "no"
+    assert predict_zero(2, 0.245).exists == NO
+    with pytest.raises(ValueError, match="finite and positive"):
+        predict_zero_explicit(2, 0.245, root_tol=tol)
+
+
 def test_theorem_forms_equivalent_on_grid():
     for N in range(0, 7):
         for i in range(1, 200):
@@ -253,6 +261,14 @@ def test_uniqueness_count_is_one(M, a):
     assert uniqueness_check(M, a) == 1
 
 
+@pytest.mark.parametrize("M", [22, 25])
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.7, 0.95])
+def test_uniqueness_count_is_one_for_m_22_and_25(M, a):
+    # guarded mpmath, which the full evaluator falls back to there, cannot
+    # reach the target below about sigma = -45; the grid signs do not need it
+    assert uniqueness_check(M, a) == 1
+
+
 def test_uniqueness_validation():
     with pytest.raises(ValueError):
         uniqueness_check(1, 0.5)
@@ -271,6 +287,12 @@ def test_verify_small_sweep_agrees():
     report = verify_theorem(grid, -1, 2)
     assert report.n_disagree == 0
     assert report.n_agree > 0
+
+
+def test_verify_sweep_agrees_below_sigma_21():
+    report = verify_theorem([0.1, 0.3, 0.55, 0.7, 0.9], 21, 30)
+    assert report.n_disagree == 0
+    assert report.n_agree == 50
 
 
 def test_verify_boundary_a_values():
