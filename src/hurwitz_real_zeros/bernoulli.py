@@ -18,6 +18,7 @@ from typing import Sequence, Tuple, Union
 
 __all__ = [
     "RATIONAL_CAP",
+    "ROOT_TOL",
     "IndeterminateSign",
     "BernoulliPolynomial",
     "EvenRootPair",
@@ -31,6 +32,9 @@ __all__ = [
 
 #: Largest index for which exact rational values are produced.
 RATIONAL_CAP = 64
+
+#: Bracket half-width of b_n^-, b_n^+ wherever a query reads root positions.
+ROOT_TOL = 1e-13
 
 Number = Union[int, Fraction, float]
 
@@ -148,18 +152,16 @@ def _refine_root(coeffs, dcoeffs, lo, hi, tol):
     The bracket [lo, hi] must have opposite signs at its endpoints.  A Newton
     step leaving the bracket falls back to the midpoint, and every other
     iteration is a plain bisection step, so the bracket provably halves at
-    least every two iterations.
+    least every two iterations.  Returns (root, half-width reached).
     """
     flo = _float_horner(coeffs, lo)
     fhi = _float_horner(coeffs, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
     assert (flo < 0.0) != (fhi < 0.0), "initial sign bracket failed"
     use_newton = False
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are neighbouring floats
+            break
         x_new = mid
         if use_newton:
             d = _float_horner(dcoeffs, mid)
@@ -170,20 +172,23 @@ def _refine_root(coeffs, dcoeffs, lo, hi, tol):
         use_newton = not use_newton
         fx = _float_horner(coeffs, x_new)
         if fx == 0.0:
-            return x_new
+            return x_new, 0.0
         if (fx < 0.0) == (flo < 0.0):
             lo, flo = x_new, fx
         else:
-            hi, fhi = x_new, fx
-    return 0.5 * (lo + hi)
+            hi = x_new
+    x = 0.5 * (lo + hi)  # at neighbouring floats x is an end, hi - lo away
+    return x, ((hi - lo) / 2.0 if lo < x < hi else hi - lo)
 
 
 @lru_cache(maxsize=None)
-def even_roots(n: int, tol: float = 1e-13) -> EvenRootPair:
-    """Locate b_n^- and b_n^+ for even n >= 2 to bracket half-width <= tol.
+def even_roots(n: int, tol: float = ROOT_TOL) -> EvenRootPair:
+    """Locate b_n^- and b_n^+ for even n >= 2 to bracket half-width <= tol
+    or neighbouring floats; `residual_bound` is max(tol, half-width reached).
 
     The initial brackets [0,1/2] and [1/2,1] are guaranteed: B_n(0) = B_n and
-    B_n(1/2) = (2^(1-n)-1) B_n carry opposite signs for even n.
+    B_n(1/2) = (2^(1-n)-1) B_n carry opposite signs for even n, nonzero
+    in floats too for n <= `RATIONAL_CAP`.
     """
     if not 0.0 < tol < inf:
         raise ValueError("tolerance must be finite and positive")
@@ -192,19 +197,19 @@ def even_roots(n: int, tol: float = 1e-13) -> EvenRootPair:
     p = bernoulli_polynomial(n)
     coeffs = p.float_coefficients
     dcoeffs = tuple(float(c) for c in derivative_coefficients(p))
-    b_minus = _refine_root(coeffs, dcoeffs, 0.0, 0.5, tol)
-    b_plus = _refine_root(coeffs, dcoeffs, 0.5, 1.0, tol)
-    return EvenRootPair(n, b_minus, b_plus, tol)
+    b_minus, r_minus = _refine_root(coeffs, dcoeffs, 0.0, 0.5, tol)
+    b_plus, r_plus = _refine_root(coeffs, dcoeffs, 0.5, 1.0, tol)
+    return EvenRootPair(n, b_minus, b_plus, max(tol, r_minus, r_plus))
 
 
-def sign_on_unit_interval(n: int, x: Number, root_tol: float = 1e-13) -> int:
+def sign_on_unit_interval(n: int, x: Number) -> int:
     """Sign of B_n(x) on [0,1] from the root structure, not from evaluation.
 
     Serves as an independent oracle against `eval_poly`.  For even n = 2k the
     sign of (-1)^(k-1) B_2k(x) is positive outside (b^-, b^+) and negative
     inside; for odd n = 2k+1 it is positive on (0,1/2), negative on (1/2,1),
-    and zero at 0, 1/2, 1.  Queries inside the root uncertainty band raise
-    `IndeterminateSign`.
+    and zero at 0, 1/2, 1.  Queries within `ROOT_TOL` of an even-index root
+    raise `IndeterminateSign`.
     """
     if n < 2:
         raise ValueError("index must be >= 2")
@@ -214,7 +219,7 @@ def sign_on_unit_interval(n: int, x: Number, root_tol: float = 1e-13) -> int:
     if n % 2 == 0:
         k = n // 2
         base = 1 if (k - 1) % 2 == 0 else -1
-        pair = even_roots(n, root_tol)
+        pair = even_roots(n)
         band = pair.residual_bound
         if abs(xf - pair.b_minus) <= band or abs(xf - pair.b_plus) <= band:
             raise IndeterminateSign(

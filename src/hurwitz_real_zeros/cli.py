@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -42,21 +42,6 @@ EXIT_DOMAIN = 2
 EXIT_ACCURACY = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Tolerances and grid settings echoed into every JSON report."""
-
-    target_abs_error: float = 1e-10
-    grid_points: int = 512
-    refine_tol: float = 1e-10
-    exclusion_delta: float = 1e-3
-    digits: int = 12
-    deterministic: bool = True
-
-    def eval_params(self) -> EvalParams:
-        return EvalParams(target_abs_error=self.target_abs_error)
-
-
 def _fmt(x: float, digits: int) -> str:
     return f"{float(x):.{digits}g}"
 
@@ -65,31 +50,16 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        target_abs_error=args.tol,
-        grid_points=args.grid,
-        refine_tol=args.tol,
-        exclusion_delta=args.delta,
-        digits=args.digits,
-    )
-    if not 0.0 < cfg.target_abs_error < math.inf:
-        raise ValueError("tolerances must be finite and positive")
-    if not 0.0 < cfg.exclusion_delta < math.inf:
-        raise ValueError("exclusion delta must be finite and positive")
-    return cfg
-
-
-def _emit(args, cfg: RunConfig, fields: dict, header, rows, table,
+def _emit(args, config: dict, fields: dict, header, rows, table,
           plot=None) -> None:
     """Print one command's result in the requested --format.
 
-    json prints `fields` under the version and run configuration; csv
+    json prints `fields` under the version and run `config`; csv
     prints `header` and `rows`; table prints the `table` lines; plot-xy
     prints the `plot` lines, or the table for commands without a plot form.
     """
     if args.format == "json":
-        out = {"version": __version__, "config": asdict(cfg)}
+        out = {"version": __version__, "config": config}
         out.update(fields)
         print(json.dumps(out, sort_keys=True))
     elif args.format == "csv":
@@ -102,13 +72,12 @@ def _emit(args, cfg: RunConfig, fields: dict, header, rows, table,
             print(line)
 
 
-def _cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
-    res = hurwitz_zeta_detailed(args.sigma, args.a, cfg.eval_params())
-    d = cfg.digits
+def _cmd_eval(args, config: dict) -> int:
+    res = hurwitz_zeta_detailed(args.sigma, args.a, EvalParams(args.tol))
+    d = args.digits
     sigma, a, value = _fmt(args.sigma, d), _fmt(args.a, d), _fmt(res.value, d)
     bound = _fmt(res.error_bound, 3)
-    _emit(args, cfg,
+    _emit(args, config,
           dict(sigma=args.sigma, a=args.a, value=res.value,
                error_bound=res.error_bound),
           ["sigma", "a", "value", "error_bound"], [[sigma, a, value, bound]],
@@ -117,31 +86,29 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_roots(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_roots(args, config: dict) -> int:
     n = args.n
     if n < 2:
         raise ValueError("root query requires n >= 2")
-    d = cfg.digits
+    d = args.digits
     if n % 2 == 1:
         b_minus, b_plus = 0.0, 0.5
         note = "exact: odd-index roots in [0,1/2) and [1/2,1) are 0 and 1/2"
     else:
-        pair = even_roots(n, cfg.refine_tol)
+        pair = even_roots(n, args.tol)
         b_minus, b_plus = pair.b_minus, pair.b_plus
         note = ""
     lo, hi = _fmt(b_minus, d), _fmt(b_plus, d)
-    _emit(args, cfg, dict(n=n, b_minus=b_minus, b_plus=b_plus, note=note),
+    _emit(args, config, dict(n=n, b_minus=b_minus, b_plus=b_plus, note=note),
           ["n", "b_minus", "b_plus", "note"], [[n, lo, hi, note]],
           [f"b{n}^- = {lo}", f"b{n}^+ = {hi}"] + ([note] if note else []),
           [f"# roots of Bernoulli polynomial n={n}", f"{lo} 0", f"{hi} 0"])
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_predict(args, config: dict) -> int:
     pred = predict_zero(args.N, args.a)
-    d = cfg.digits
+    d = args.digits
     explicit = None
     explicit_note = ""
     if args.N >= 0 and 0.0 < args.a < 1.0:
@@ -166,7 +133,7 @@ def _cmd_predict(args) -> int:
         table.append(explicit_note)
     if mismatch:
         table.append("WARNING: explicit form disagrees with the product sign")
-    _emit(args, cfg,
+    _emit(args, config,
           dict(N=pred.N, a=pred.a, exists=pred.exists, b_left=b_left,
                b_right=b_right, explicit=explicit,
                explicit_note=explicit_note, mismatch=mismatch),
@@ -178,29 +145,27 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(args) -> int:
-    cfg = _config_from_args(args)
-    d = cfg.digits
-    params = cfg.eval_params()
+def _cmd_scan(args, config: dict) -> int:
+    d = args.digits
+    params = EvalParams(args.tol)
     a = _fmt(args.a, d)
     if args.curve:
-        sigmas = scan_grid(args.N, cfg.grid_points, cfg.refine_tol)
+        sigmas = scan_grid(args.N, args.grid, args.tol)
         ev = Evaluator(args.a, params)
         values = [ev(s)[0] for s in sigmas]
         print(f"# zeta(sigma, a={a}) on ({-args.N - 1}, {-args.N})")
         for s, v in zip(sigmas, values):
             print(f"{_fmt(s, d)} {_fmt(v, d)}")
         return EXIT_OK
-    zeros = locate_zeros(args.N, args.a, cfg.grid_points, cfg.refine_tol,
-                         params)
+    zeros = locate_zeros(args.N, args.a, args.grid, args.tol, params)
     interval = f"(-{args.N + 1}, {-args.N})"
     rows = [[args.N, a, _fmt(z.sigma, d), _fmt(z.bracket_halfwidth, 3),
              _fmt(z.residual, 3)] for z in zeros]
     table = [f"zero at sigma = {sigma}  (bracket +/- {halfwidth}, "
              f"residual {residual})"
              for _, _, sigma, halfwidth, residual in rows]
-    _emit(args, cfg, dict(N=args.N, a=args.a,
-                          zeros=[asdict(z) for z in zeros]),
+    _emit(args, config, dict(N=args.N, a=args.a,
+                             zeros=[asdict(z) for z in zeros]),
           ["N", "a", "sigma", "bracket_halfwidth", "residual"], rows,
           table or [f"no zeros found in {interval}"],
           [f"# zeros of zeta(sigma, a={a}) in {interval}"]
@@ -208,9 +173,8 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    d = cfg.digits
+def _cmd_verify(args, config: dict) -> int:
+    d = args.digits
     if not 0.0 < args.astep < 1.0:
         raise ValueError("a-step must satisfy 0 < astep < 1")
     grid = []
@@ -218,16 +182,16 @@ def _cmd_verify(args) -> int:
     while k * args.astep < 1.0 - 1e-12:
         grid.append(k * args.astep)
         k += 1
-    params = cfg.eval_params()
+    params = EvalParams(args.tol)
     report = verify_theorem(grid, args.nmin, args.nmax,
-                            exclusion_delta=cfg.exclusion_delta,
-                            grid_points=cfg.grid_points,
-                            refine_tol=cfg.refine_tol, params=params)
+                            exclusion_delta=args.delta,
+                            grid_points=args.grid,
+                            refine_tol=args.tol, params=params)
     uniq = []
     if args.uniqueness:
         m_lo = max(2, math.ceil(max(args.nmin, 0) / 2))
         m_hi = max(m_lo, (args.nmax - 1) // 2)
-        uniq = [(m, a, uniqueness_check(m, a, cfg.grid_points, params))
+        uniq = [(m, a, uniqueness_check(m, a, args.grid, params))
                 for m in range(m_lo, m_hi + 1) for a in grid]
     cases, rows = [], []
     table = [f"theorem sweep N in [{args.nmin}, {args.nmax}], "
@@ -251,7 +215,7 @@ def _cmd_verify(args) -> int:
                  f"skipped={report.n_skipped}")
     table += [f"  uniqueness M={m} a={_fmt(a, 6)}: count={n} "
               f"{'ok' if n == 1 else 'FAIL'}" for (m, a, n) in uniq]
-    _emit(args, cfg,
+    _emit(args, config,
           dict(nmin=args.nmin, nmax=args.nmax, astep=args.astep,
                agree=report.n_agree, disagree=report.n_disagree,
                skipped=report.n_skipped, cases=cases,
@@ -329,7 +293,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if not 0.0 < args.tol < math.inf:
+            raise ValueError("tolerances must be finite and positive")
+        if not 0.0 < args.delta < math.inf:
+            raise ValueError("exclusion delta must be finite and positive")
+        # echoed into every JSON report; --tol is both the evaluator
+        # target and the refinement tolerance
+        config = dict(target_abs_error=args.tol, grid_points=args.grid,
+                      refine_tol=args.tol, exclusion_delta=args.delta,
+                      digits=args.digits, deterministic=True)
+        return args.func(args, config)
     except (PoleError, StripError, IndeterminateSign, ValueError,
             TypeError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -114,7 +114,8 @@ SIGN_HEAD_TERMS = 3
 #: Most Euler-Maclaurin head terms, and most Fourier terms, one call sums.
 MAX_CUTOFF = 10_000
 
-#: Most Euler-Maclaurin correction terms B_2k/(2k)! one call adds.
+#: Most Euler-Maclaurin correction terms B_2k/(2k)! one call adds; the
+#: remainder bound then needs B_62, within `RATIONAL_CAP`.
 MAX_CORRECTION_ORDER = 30
 
 #: x below this uses the Laurent-tail form of the integrand (validity radius
@@ -210,8 +211,6 @@ def _correction_loop(s, q, total, kmax, kmin, target, coef):
         val = val + c * poch * tpow
         poch = poch * (s + 2 * k - 1) * (s + 2 * k)
         tpow = tpow * qm2
-        if 2 * k + 2 > RATIONAL_CAP:
-            break
         c = coef(2 * k + 2)
         bound = float(abs(c * poch * tpow))
         if k >= kmin and bound < best_bound:
@@ -569,14 +568,13 @@ def integrand_G(N: int, a: float, x: float) -> float:
     return _integrand_G_direct(N, a, x)
 
 
-def integral_representation(
-    sigma: float,
-    a: float,
-    N: int,
-    quad_params: EvalParams = EvalParams(),
-) -> float:
+#: Absolute tolerance of each quadrature in `integral_representation`.
+QUAD_TOL = 5e-11
+
+
+def integral_representation(sigma: float, a: float, N: int) -> float:
     """Gamma(sigma)*zeta(sigma,a) via the strip integral, for sigma in
-    (-N-1, -N).
+    (-N-1, -N), each quadrature to absolute error `QUAD_TOL`.
 
     Split at x = 1 mirroring the proof decomposition P + Q_N + R_N: the tail
     piece P integrates the exponential kernel out to where its envelope
@@ -589,7 +587,6 @@ def integral_representation(
     a = check_shift(a)
     sigma = float(sigma)
     _check_strip(N, sigma)
-    tol = max(quad_params.target_abs_error / 2.0, 1e-11)
     c = _laurent_coeffs(a)
 
     # R_N: (0,1], integrand (G_N/x^(N+1)) * x^(N+sigma), weight exponent
@@ -600,7 +597,7 @@ def integral_representation(
         1.0,
         weight="alg",
         wvar=(N + sigma, 0.0),
-        epsabs=tol,
+        epsabs=QUAD_TOL,
         epsrel=1e-10,
         limit=200,
     )
@@ -610,12 +607,12 @@ def integral_representation(
     q_val = math.fsum(c[n] / (n + sigma - 1.0) for n in range(N + 2))
 
     # P: [1, X], envelope e^(-a x) bounds the tail beyond X.
-    x_max = max(50.0, -math.log(tol * a) / a + 20.0)
+    x_max = max(50.0, -math.log(QUAD_TOL * a) / a + 20.0)
     p_val, _ = quad(
         lambda x: math.exp(-a * x) / (-math.expm1(-x)) * x ** (sigma - 1.0),
         1.0,
         x_max,
-        epsabs=tol,
+        epsabs=QUAD_TOL,
         epsrel=1e-10,
         limit=200,
     )

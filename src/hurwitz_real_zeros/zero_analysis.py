@@ -123,13 +123,13 @@ def predict_zero(N: int, a: float) -> ZeroPrediction:
                           exists=exists)
 
 
-def predict_zero_explicit(N: int, a: float, root_tol: float = 1e-13) -> bool:
+def predict_zero_explicit(N: int, a: float) -> bool:
     """Existence via the explicit a-ranges in terms of b_n^- and b_n^+.
 
     Even N uses the roots of B_(N+2): zeros exist iff 0 < a < b^- or
     1/2 < a < b^+.  Odd N uses the roots of B_(N+1): zeros exist iff
-    b^- < a < 1/2 or b^+ < a < 1.  Queries at 1/2 or inside the root
-    uncertainty band raise IndeterminateSign.
+    b^- < a < 1/2 or b^+ < a < 1.  Queries at 1/2 or within `ROOT_TOL` of
+    b^- or b^+ raise IndeterminateSign.
     """
     N = int(N)
     if N < 0:
@@ -138,7 +138,7 @@ def predict_zero_explicit(N: int, a: float, root_tol: float = 1e-13) -> bool:
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0,1) for the explicit form")
     m = N + 2 if N % 2 == 0 else N + 1
-    pair = even_roots(m, root_tol)
+    pair = even_roots(m)
     band = pair.residual_bound
     if abs(a - pair.b_minus) <= band or abs(a - pair.b_plus) <= band:
         raise IndeterminateSign(f"a={a} within {band} of a root of B_{m}")
@@ -167,11 +167,14 @@ def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
 
 def _refine_sign_change(ev: Evaluator, lo: float, hi: float, flo: float,
                         fhi: float, tol: float) -> LocatedZero:
-    """Bisect [lo, hi] on full values from `ev` to half-width <= tol."""
+    """Bisect [lo, hi] on full values from `ev` to half-width <= tol or
+    neighbouring floats."""
     if (flo < 0.0) == (fhi < 0.0):
         raise RuntimeError("bracket endpoints must have opposite signs")
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are neighbouring floats
+            break
         fm = ev(mid)[0]
         if fm == 0.0:
             lo = hi = mid
@@ -179,9 +182,11 @@ def _refine_sign_change(ev: Evaluator, lo: float, hi: float, flo: float,
         if (fm < 0.0) == (flo < 0.0):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
+            hi = mid
+    # at neighbouring floats sigma is an end, hi - lo from the other
     sigma = 0.5 * (lo + hi)
-    return LocatedZero(sigma=sigma, bracket_halfwidth=(hi - lo) / 2.0,
+    halfwidth = (hi - lo) / 2.0 if lo < sigma < hi else hi - lo
+    return LocatedZero(sigma=sigma, bracket_halfwidth=halfwidth,
                        residual=abs(hurwitz_zeta(sigma, ev.a, ev.params)))
 
 
@@ -251,8 +256,8 @@ def uniqueness_check(
     return count
 
 
-def polynomial_roots_in_unit(m: int, root_tol: float = 1e-13):
-    """Roots of B_m(x) in (0, 1] (float approximations; exact for odd m)."""
+def polynomial_roots_in_unit(m: int):
+    """Roots of B_m(x) in (0, 1] (to `ROOT_TOL` for even m, else exact)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     if m == 0:
@@ -260,7 +265,7 @@ def polynomial_roots_in_unit(m: int, root_tol: float = 1e-13):
     if m == 1:
         return (0.5,)
     if m % 2 == 0:
-        pair = even_roots(m, root_tol)
+        pair = even_roots(m)
         return (pair.b_minus, pair.b_plus)
     return (0.5, 1.0)
 
@@ -285,7 +290,9 @@ def verify_case(
     refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> CaseResult:
-    """One (N, a) cell of the theorem sweep."""
+    """One (N, a) cell of the theorem sweep.  A BOUNDARY prediction needs
+    a = 1/2 or 1, the only rational roots of B_n in (0, 1] (Inkeri 1959),
+    which the exclusion check always skips."""
     _check_exclusion_delta(exclusion_delta)
     pred = predict_zero(N, a)
     zeros, agrees = (), None
@@ -298,12 +305,8 @@ def verify_case(
         except AccuracyError as exc:
             note = f"skipped: evaluator accuracy failure ({exc})"
         else:
-            if pred.exists == BOUNDARY:
-                note = ("boundary: product exactly zero, excluded from "
-                        "statistics")
-            else:
-                agrees = (pred.exists == YES) == (len(zeros) > 0)
-                note = "" if agrees else "DISAGREEMENT"
+            agrees = (pred.exists == YES) == (len(zeros) > 0)
+            note = "" if agrees else "DISAGREEMENT"
     return CaseResult(N=N, a=float(a), b_left=pred.b_left,
                       b_right=pred.b_right, predicted=pred.exists,
                       zeros=zeros, agrees=agrees, note=note)
@@ -321,7 +324,8 @@ def verify_theorem(
     """Sweep predict_zero against locate_zeros over the (N, a) grid.
 
     Disagreements are recorded, never raised; cases near polynomial roots
-    (and boundary predictions) are excluded from the agreement statistics.
+    (every boundary prediction among them) or beyond the evaluator's
+    accuracy are excluded from the agreement statistics.
     Cases run in deterministic (N, a) order.
     """
     _check_exclusion_delta(exclusion_delta)

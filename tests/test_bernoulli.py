@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hurwitz_real_zeros.bernoulli import (
     RATIONAL_CAP,
     IndeterminateSign,
+    _float_horner,
     bernoulli_number,
     bernoulli_polynomial,
     derivative_coefficients,
@@ -242,6 +243,30 @@ def test_even_roots_rejects_bad_tolerance(tol):
     # b^- = 0.25 with a NaN residual bound
     with pytest.raises(ValueError, match="finite and positive"):
         even_roots(4, tol)
+
+
+def test_root_brackets_have_nonzero_float_ends():
+    # _refine_root starts from [0, 1/2] and [1/2, 1] and has no branch for
+    # an end where the float polynomial is exactly zero
+    for n in range(2, RATIONAL_CAP + 1, 2):
+        coeffs = bernoulli_polynomial(n).float_coefficients
+        for x in (0.0, 0.5, 1.0):
+            assert _float_horner(coeffs, x) != 0.0
+
+
+def test_even_roots_below_float_spacing_returns():
+    # a tolerance under half the float spacing at a root used to loop
+    # forever: the midpoint of neighbouring floats is one of them
+    pair = even_roots(4, 1e-20)
+    coeffs = bernoulli_polynomial(4).float_coefficients
+    r = pair.residual_bound
+    for b in (pair.b_minus, pair.b_plus):
+        assert r >= math.ulp(b)
+        # the bisected polynomial changes sign within r of b
+        signs = {math.copysign(1.0, _float_horner(coeffs, x))
+                 for x in (b - r, b, b + r)}
+        assert signs == {-1.0, 1.0}
+    assert pair.b_minus == even_roots(4).b_minus
 
 
 # ------------------------------------------------------------------ signs

@@ -2,12 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from hurwitz_real_zeros import __version__
+from hurwitz_real_zeros.bernoulli import even_roots
 from hurwitz_real_zeros.cli import main
+from hurwitz_real_zeros.hurwitz import EvalParams, Evaluator
 
 
 def run(capsys, *argv):
@@ -82,6 +87,15 @@ def test_roots_even(capsys):
     assert "0.788675134595" in out
 
 
+def test_roots_tolerance_below_float_spacing_returns(capsys):
+    code, out, _ = run(capsys, "roots", "--n", "4", "--tol", "1e-20",
+                       "--format", "json")
+    assert code == 0
+    pair = even_roots(4, 1e-20)
+    doc = json.loads(out)
+    assert (doc["b_minus"], doc["b_plus"]) == (pair.b_minus, pair.b_plus)
+
+
 def test_roots_odd_exact(capsys):
     code, out, _ = run(capsys, "roots", "--n", "3")
     assert code == 0
@@ -130,6 +144,19 @@ def test_scan_finds_predicted_zero(capsys):
     code, out, _ = run(capsys, "scan", "--N", "1", "--a", "0.4")
     assert code == 0
     assert "zero at sigma = -1.64" in out
+
+
+def test_scan_tolerance_below_float_spacing_returns(capsys):
+    code, out, _ = run(capsys, "scan", "--N", "0", "--a", "0.1",
+                       "--tol", "1e-17", "--format", "json")
+    assert code == 0
+    (zero,) = json.loads(out)["zeros"]
+    sigma, halfwidth = zero["sigma"], zero["bracket_halfwidth"]
+    assert halfwidth >= math.ulp(sigma)
+    ev = Evaluator(0.1, EvalParams(1e-17))
+    signs = {ev(x)[0] > 0.0 for x in (sigma - halfwidth, sigma,
+                                      sigma + halfwidth)}
+    assert signs == {False, True}
 
 
 def test_scan_riemann_interval_empty(capsys):
@@ -277,3 +304,23 @@ GOLDEN = json.loads(
 def test_golden_output(capsys, case):
     code, out, _ = run(capsys, *case["argv"].split())
     assert (code, out) == (case["code"], case["out"])
+
+
+def test_console_entry_point():
+    # `python -m hurwitz_real_zeros.cli` runs entry(): main's exit code
+    # becomes the process status
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hurwitz_real_zeros.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+
+    argv = "eval --sigma -1 --a 1 --format json"
+    (case,) = [c for c in GOLDEN if c["argv"] == argv]
+    done = cli(*argv.split())
+    assert (done.returncode, done.stdout) == (case["code"], case["out"])
+    done = cli("eval", "--sigma", "1", "--a", "0.5")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "pole" in done.stderr

@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurwitz_real_zeros import hurwitz as hurwitz_module
-from hurwitz_real_zeros.bernoulli import bernoulli_polynomial, eval_poly
+from hurwitz_real_zeros.bernoulli import (
+    RATIONAL_CAP,
+    bernoulli_polynomial,
+    eval_poly,
+)
 from hurwitz_real_zeros.hurwitz import (
     FOURIER_CROSSOVER,
     AccuracyError,
@@ -122,6 +126,11 @@ def test_accuracy_failure_reports_bound():
 def test_target_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         EvalParams(target_abs_error=tol)
+
+
+def test_correction_order_stays_within_exact_bernoulli_numbers():
+    # the loop's remainder bound reads B_(2k+2) for k up to the cap
+    assert 2 * hurwitz_module.MAX_CORRECTION_ORDER + 2 <= RATIONAL_CAP
 
 
 def test_error_bound_monotone_in_correction_order():
