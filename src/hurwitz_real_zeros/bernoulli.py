@@ -208,11 +208,12 @@ def sign_on_unit_interval(n: int, x: Number) -> int:
     Serves as an independent oracle against `eval_poly`.  For even n = 2k the
     sign of (-1)^(k-1) B_2k(x) is positive outside (b^-, b^+) and negative
     inside; for odd n = 2k+1 it is positive on (0,1/2), negative on (1/2,1),
-    and zero at 0, 1/2, 1.  Queries within `ROOT_TOL` of an even-index root
-    raise `IndeterminateSign`.
+    and zero at 1/2, and at 0 and 1 too for n >= 3 (B_1 = x - 1/2).
+    Queries within `ROOT_TOL` of an even-index root raise
+    `IndeterminateSign`.
     """
-    if n < 2:
-        raise ValueError("index must be >= 2")
+    if n < 1:
+        raise ValueError("index must be >= 1")
     xf = float(x)
     if not 0.0 <= xf <= 1.0:
         raise ValueError("x must lie in [0,1]")
@@ -223,13 +224,13 @@ def sign_on_unit_interval(n: int, x: Number) -> int:
         band = pair.residual_bound
         if abs(xf - pair.b_minus) <= band or abs(xf - pair.b_plus) <= band:
             raise IndeterminateSign(
-                f"x={xf} within {band} of a root of B_{n}"
+                f"a={xf} within {band} of a root of B_{n}"
             )
         if pair.b_minus < xf < pair.b_plus:
             return -base
         return base
     k = (n - 1) // 2
     base = 1 if (k - 1) % 2 == 0 else -1
-    if xf == 0.0 or xf == 0.5 or xf == 1.0:
+    if xf == 0.5 or (n >= 3 and (xf == 0.0 or xf == 1.0)):
         return 0
     return base if xf < 0.5 else -base

@@ -157,7 +157,7 @@ def _cmd_scan(args, config: dict) -> int:
         for s, v in zip(sigmas, values):
             print(f"{_fmt(s, d)} {_fmt(v, d)}")
         return EXIT_OK
-    zeros = locate_zeros(args.N, args.a, args.grid, args.tol, params)
+    zeros = locate_zeros(args.N, args.a, args.grid, params)
     interval = f"(-{args.N + 1}, {-args.N})"
     rows = [[args.N, a, _fmt(z.sigma, d), _fmt(z.bracket_halfwidth, 3),
              _fmt(z.residual, 3)] for z in zeros]
@@ -185,8 +185,7 @@ def _cmd_verify(args, config: dict) -> int:
     params = EvalParams(args.tol)
     report = verify_theorem(grid, args.nmin, args.nmax,
                             exclusion_delta=args.delta,
-                            grid_points=args.grid,
-                            refine_tol=args.tol, params=params)
+                            grid_points=args.grid, params=params)
     uniq = []
     if args.uniqueness:
         m_lo = max(2, math.ceil(max(args.nmin, 0) / 2))

@@ -191,15 +191,16 @@ def _em_coef(j: int) -> float:
     return float(b.numerator) / b.denominator / math.factorial(j)
 
 
-def _correction_loop(s, q, total, kmax, kmin, target, coef):
+def _correction_loop(s, q, total, kmax, target, coef):
     """Shared Euler-Maclaurin correction loop (float or mpf arithmetic).
 
     Adds T_k = B_2k/(2k)! * (s)(s+1)...(s+2k-2) * q^(-s-2k+1) for k = 1..,
-    bounding the remainder after K terms by |T_(K+1)| (valid once
-    sigma + 2K + 1 > 0).  `coef(j)` is B_j/j! in the loop's arithmetic.
-    Returns the partial sum at the best bound seen, so the reported bound
-    is monotone in the order cap.
+    bounding the remainder after K terms by |T_(K+1)|, valid from the
+    first K with sigma + 2K + 1 > 0.  `coef(j)` is B_j/j! in the loop's
+    arithmetic.  Returns the partial sum at the best bound seen, so the
+    reported bound is monotone in the order cap.
     """
+    kmin = max(1, math.floor((-float(s) - 1.0) / 2.0) + 1)
     poch = s
     tpow = q ** (-s - 1)
     qm2 = q ** -2
@@ -238,8 +239,7 @@ def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
             b = bernoulli_number(j)
             return mpf(b.numerator) / b.denominator / math.factorial(j)
 
-        kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        val, bound = _correction_loop(s, q, total, kmax, kmin, target, coef)
+        val, bound = _correction_loop(s, q, total, kmax, target, coef)
         return float(val), bound
 
 
@@ -374,8 +374,7 @@ class Evaluator:
         kmax = MAX_CORRECTION_ORDER
         if s_abs + 2 * kmax > reach:
             kmax = int((reach - s_abs) / 2.0)
-        kmin = max(1, math.floor((-sigma - 1.0) / 2.0) + 1)
-        val, bound = _correction_loop(sigma, q, total, kmax, kmin,
+        val, bound = _correction_loop(sigma, q, total, kmax,
                                       target - rounding, _em_coef)
         return val, bound + rounding
 

@@ -5,11 +5,10 @@ exactly-one-zero check for the deep intervals [-2M-2, -2M).
 The existence criterion is the sign of B_(N+1)(a) * B_(N+2)(a), evaluated in
 exact rational arithmetic; the harness scans the evaluator for sign changes
 and refines them by bisection, with neither side trusting the other.  Each
-scan builds one `Evaluator` and takes each grid point's sign from
-`Evaluator.sign`, which is the sign of the full value, certified from a
-cheaper Fourier or Euler-Maclaurin sum where its error bound allows.
-Bisection steps take full values from that same evaluator; each residual
-is one `hurwitz_zeta` call.
+scan builds one `Evaluator` and takes the sign of each grid point and each
+bisection step from `Evaluator.sign`, which is the sign of the full value,
+certified from a cheaper Fourier or Euler-Maclaurin sum where its error
+bound allows.  Each residual is one `hurwitz_zeta` call.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .bernoulli import (
     bernoulli_polynomial,
     eval_poly,
     even_roots,
+    sign_on_unit_interval,
 )
 from .hurwitz import (
     AccuracyError,
@@ -128,8 +128,9 @@ def predict_zero_explicit(N: int, a: float) -> bool:
 
     Even N uses the roots of B_(N+2): zeros exist iff 0 < a < b^- or
     1/2 < a < b^+.  Odd N uses the roots of B_(N+1): zeros exist iff
-    b^- < a < 1/2 or b^+ < a < 1.  Queries at 1/2 or within `ROOT_TOL` of
-    b^- or b^+ raise IndeterminateSign.
+    b^- < a < 1/2 or b^+ < a < 1.  Both read off the signs of B_(N+1) and
+    B_(N+2) from `sign_on_unit_interval`, so queries within `ROOT_TOL` of
+    b^- or b^+ raise IndeterminateSign, and so do queries at 1/2.
     """
     N = int(N)
     if N < 0:
@@ -137,16 +138,10 @@ def predict_zero_explicit(N: int, a: float) -> bool:
     a = float(a)
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0,1) for the explicit form")
-    m = N + 2 if N % 2 == 0 else N + 1
-    pair = even_roots(m)
-    band = pair.residual_bound
-    if abs(a - pair.b_minus) <= band or abs(a - pair.b_plus) <= band:
-        raise IndeterminateSign(f"a={a} within {band} of a root of B_{m}")
-    if a == 0.5:
+    s = sign_on_unit_interval(N + 1, a) * sign_on_unit_interval(N + 2, a)
+    if s == 0:
         raise IndeterminateSign("a = 1/2 is a degenerate boundary")
-    if N % 2 == 0:
-        return (0.0 < a < pair.b_minus) or (0.5 < a < pair.b_plus)
-    return (pair.b_minus < a < 0.5) or (pair.b_plus < a < 1.0)
+    return s < 0
 
 
 def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
@@ -165,22 +160,20 @@ def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     return [lo + i * step for i in range(grid_points)]
 
 
-def _refine_sign_change(ev: Evaluator, lo: float, hi: float, flo: float,
-                        fhi: float, tol: float) -> LocatedZero:
-    """Bisect [lo, hi] on full values from `ev` to half-width <= tol or
-    neighbouring floats."""
-    if (flo < 0.0) == (fhi < 0.0):
-        raise RuntimeError("bracket endpoints must have opposite signs")
+def _refine_sign_change(ev: Evaluator, lo: float, hi: float, slo: int,
+                        tol: float) -> LocatedZero:
+    """Bisect [lo, hi], whose ends have the signs slo and -slo, on
+    `ev.sign` to half-width <= tol or neighbouring floats."""
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are neighbouring floats
             break
-        fm = ev(mid)[0]
-        if fm == 0.0:
+        sm = ev.sign(mid)
+        if sm == 0:
             lo = hi = mid
             break
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        if sm == slo:
+            lo = mid
         else:
             hi = mid
     # at neighbouring floats sigma is an end, hi - lo from the other
@@ -194,26 +187,25 @@ def locate_zeros(
     N: int,
     a: float,
     grid_points: int = 512,
-    refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> List[LocatedZero]:
     """Numeric witness: one `Evaluator` takes the signs of zeta(., a) on
-    `scan_grid` and bisects each sign change on full values to bracket
-    half-width <= refine_tol; the residual at the final midpoint is one
+    `scan_grid` and bisects each sign change on them to bracket half-width
+    <= the params target; the residual at the final midpoint is one
     `hurwitz_zeta` call."""
-    grid = scan_grid(N, grid_points, refine_tol)
+    tol = params.target_abs_error
+    grid = scan_grid(N, grid_points, tol)
     ev = Evaluator(a, params)
     signs = [ev.sign(x) for x in grid]
     zeros: List[LocatedZero] = []
-    prev_x, prev_f = grid[0], signs[0]
-    for x, fx in zip(grid[1:], signs[1:]):
-        if fx == 0.0:
+    prev_x, prev_s = grid[0], signs[0]
+    for x, sx in zip(grid[1:], signs[1:]):
+        if sx == 0:
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
                                      residual=0.0))
-        elif prev_f != 0.0 and (fx < 0.0) != (prev_f < 0.0):
-            zeros.append(_refine_sign_change(ev, prev_x, x, prev_f, fx,
-                                             refine_tol))
-        prev_x, prev_f = x, fx
+        elif prev_s != 0 and sx != prev_s:
+            zeros.append(_refine_sign_change(ev, prev_x, x, prev_s, tol))
+        prev_x, prev_s = x, sx
     zeros.sort(key=lambda z: z.sigma)
     return zeros
 
@@ -287,10 +279,10 @@ def verify_case(
     a: float,
     exclusion_delta: float = 1e-3,
     grid_points: int = 512,
-    refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> CaseResult:
-    """One (N, a) cell of the theorem sweep.  A BOUNDARY prediction needs
+    """One (N, a) cell of the theorem sweep: `predict_zero` against
+    `locate_zeros(N, a, grid_points, params)`.  A BOUNDARY prediction needs
     a = 1/2 or 1, the only rational roots of B_n in (0, 1] (Inkeri 1959),
     which the exclusion check always skips."""
     _check_exclusion_delta(exclusion_delta)
@@ -300,8 +292,7 @@ def verify_case(
         note = "skipped: a within delta of a polynomial root"
     else:
         try:
-            zeros = tuple(locate_zeros(N, a, grid_points, refine_tol,
-                                       params))
+            zeros = tuple(locate_zeros(N, a, grid_points, params))
         except AccuracyError as exc:
             note = f"skipped: evaluator accuracy failure ({exc})"
         else:
@@ -318,10 +309,10 @@ def verify_theorem(
     N_max: int,
     exclusion_delta: float = 1e-3,
     grid_points: int = 512,
-    refine_tol: float = 1e-10,
     params: EvalParams = EvalParams(),
 ) -> VerificationReport:
-    """Sweep predict_zero against locate_zeros over the (N, a) grid.
+    """Sweep predict_zero against locate_zeros over the (N, a) grid, each
+    cell a `verify_case` with these grid_points and params.
 
     Disagreements are recorded, never raised; cases near polynomial roots
     (every boundary prediction among them) or beyond the evaluator's
@@ -337,7 +328,7 @@ def verify_theorem(
     for N in range(N_min, N_max + 1):
         for a in sorted(a_grid):
             cases.append(verify_case(N, a, exclusion_delta, grid_points,
-                                     refine_tol, params))
+                                     params))
     n_agree = sum(1 for c in cases if c.agrees is True)
     n_disagree = sum(1 for c in cases if c.agrees is False)
     n_skipped = sum(1 for c in cases if c.agrees is None)

@@ -138,6 +138,16 @@ def test_predict_boundary(capsys):
     assert "boundary" in out
 
 
+def test_predict_prints_explicit_band_message(capsys):
+    # a = b_4^-, so sign_on_unit_interval cannot place a against B_4's roots
+    code, out, _ = run(capsys, "predict", "--N", "2",
+                       "--a", "0.24033518882038593")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "explicit form indeterminate: a=0.24033518882038593 within 1e-13 "
+        "of a root of B_4")
+
+
 # ------------------------------------------------------------------- scan
 
 def test_scan_finds_predicted_zero(capsys):

@@ -514,7 +514,7 @@ def test_signs_match_scalar_packed_around_zeros_below_sigma_21():
     # within about 1e-11 of these zeros the loose Fourier sum, off by up to
     # 1e-8, cannot certify a sign, so guarded mpmath decides
     for N, a in ((21, 0.35), (21, 0.46), (22, 0.7)):
-        zeros = locate_zeros(N, a, refine_tol=1e-13)
+        zeros = locate_zeros(N, a, params=EvalParams(1e-13))
         assert zeros
         for z in zeros:
             _assert_signs_match_scalar(

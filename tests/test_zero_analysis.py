@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,28 +127,29 @@ def test_endpoint_sign_opposition_when_zero_predicted():
 # ----------------------------------------------------------------- harness
 
 def test_locate_zeros_examples():
-    zeros = locate_zeros(1, 0.4, 512, 1e-10)
+    zeros = locate_zeros(1, 0.4, 512)
     assert len(zeros) == 1
     assert -2 < zeros[0].sigma < -1
     assert zeros[0].residual < 1e-9
     assert zeros[0].bracket_halfwidth <= 1e-10
-    assert locate_zeros(1, 1.0, 512, 1e-10) == []
+    assert locate_zeros(1, 1.0, 512) == []
 
 
 def test_locate_zeros_unit_interval():
-    zeros = locate_zeros(-1, 0.25, 512, 1e-10)
+    zeros = locate_zeros(-1, 0.25, 512)
     assert len(zeros) == 1
     assert 0 < zeros[0].sigma < 1
-    assert locate_zeros(-1, 0.75, 512, 1e-10) == []
+    assert locate_zeros(-1, 0.75, 512) == []
 
 
 def test_refine_tol_below_float_spacing_returns():
     # bisection used to loop forever once the midpoint rounded to an end
-    (zero,) = locate_zeros(0, 0.1, refine_tol=1e-17)
+    params = EvalParams(1e-17)
+    (zero,) = locate_zeros(0, 0.1, params=params)
     sigma, halfwidth = zero.sigma, zero.bracket_halfwidth
     assert halfwidth >= math.ulp(sigma)
     # the full values bisection saw change sign within halfwidth of sigma
-    ev = zero_analysis.Evaluator(0.1)
+    ev = zero_analysis.Evaluator(0.1, params)
     signs = {ev(x)[0] > 0.0 for x in (sigma - halfwidth, sigma,
                                       sigma + halfwidth)}
     assert signs == {False, True}
@@ -156,8 +158,8 @@ def test_refine_tol_below_float_spacing_returns():
 def test_locate_zeros_validation():
     with pytest.raises(ValueError):
         locate_zeros(1, 0.4, grid_points=8)
-    with pytest.raises(ValueError):
-        locate_zeros(1, 0.4, refine_tol=-1e-10)
+    with pytest.raises(ValueError, match="target_abs_error must be finite"):
+        locate_zeros(1, 0.4, params=EvalParams(-1e-10))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])
@@ -165,8 +167,8 @@ def test_non_finite_refine_tol_rejected(tol):
     # either one skips bisection: zeros with half-width 9.8e-4 came back
     with pytest.raises(ValueError, match="refine_tol must be finite"):
         scan_grid(1, 512, tol)
-    with pytest.raises(ValueError, match="refine_tol must be finite"):
-        locate_zeros(1, 0.4, 512, tol)
+    with pytest.raises(ValueError, match="target_abs_error must be finite"):
+        locate_zeros(1, 0.4, 512, EvalParams(tol))
 
 
 def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
@@ -189,12 +191,60 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
 
     monkeypatch.setattr(zero_analysis, "Evaluator", CountedEvaluator)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
-    # one evaluator per scan; bisection steps reuse it, and each located
-    # zero makes one scalar call for its residual
-    assert len(locate_zeros(1, 0.4, 512, 1e-10)) == 1
-    assert [ev.signs for ev in made] == [512] and scalar_calls[0] == 1
+    # one evaluator per scan; bisection steps reuse its signs, and each
+    # located zero makes one scalar call for its residual
+    assert len(locate_zeros(1, 0.4, 512)) == 1
+    # 24 halvings take the grid step, 1.96e-3, to a half-width <= 1e-10
+    assert [ev.signs for ev in made] == [512 + 24] and scalar_calls[0] == 1
     assert uniqueness_check(2, 0.3) == 1
-    assert [ev.signs for ev in made] == [512, 510] and scalar_calls[0] == 1
+    assert [ev.signs for ev in made] == [512 + 24, 510]
+    assert scalar_calls[0] == 1
+
+
+def _full_value_zeros(N, a, params=EvalParams()):
+    """Reference for locate_zeros: the same scan, bisected on the sign of
+    each step's full value ev(mid)[0] instead of ev.sign(mid)."""
+    tol = params.target_abs_error
+    grid = scan_grid(N, 512, tol)
+    ev = zero_analysis.Evaluator(a, params)
+    signs = [ev.sign(x) for x in grid]
+    zeros = []
+    for lo, hi, flo, fhi in zip(grid, grid[1:], signs, signs[1:]):
+        if fhi == 0:
+            zeros.append((hi, 0.0, 0.0))
+        elif flo != 0 and flo != fhi:
+            while (hi - lo) / 2.0 > tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                fm = ev(mid)[0]
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm < 0.0) == (flo < 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            sigma = 0.5 * (lo + hi)
+            halfwidth = (hi - lo) / 2.0 if lo < sigma < hi else hi - lo
+            residual = abs(hurwitz_zeta(sigma, a, params))
+            zeros.append((sigma, halfwidth, residual))
+    return sorted(zeros)
+
+
+def test_certified_sign_bisection_matches_full_value_bisection():
+    # where ev.sign certifies, |zeta| > target >= the full value's bound,
+    # so each step goes the way the full value's sign would send it
+    rng = random.Random(10)
+    cells = 0
+    for N in [*range(-1, 8), *range(21, 31)]:
+        for _ in range(3):
+            a = rng.uniform(0.0, 1.0) or 1.0
+            zeros = [(z.sigma, z.bracket_halfwidth, z.residual)
+                     for z in locate_zeros(N, a)]
+            assert zeros == _full_value_zeros(N, a), (N, a)
+            cells += bool(zeros)
+    assert cells >= 20
 
 
 def test_scan_imports_neither_numpy_nor_scipy():
@@ -215,7 +265,7 @@ def test_zero_count_parity_matches_prediction():
             pred = predict_zero(N, a)
             if pred.exists != YES:
                 continue
-            zeros = locate_zeros(N, a, 256, 1e-9)
+            zeros = locate_zeros(N, a, 256, EvalParams(1e-9))
             assert len(zeros) % 2 == 1
 
 
