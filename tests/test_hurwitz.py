@@ -22,6 +22,7 @@ from hurwitz_real_zeros.hurwitz import (
     PoleError,
     StripError,
     SMALL_X_THRESHOLD,
+    _exclusion_radius,
     _integrand_G_direct,
     check_shift,
     gamma_real,
@@ -546,6 +547,58 @@ def test_signs_match_scalar_on_float_em_grids():
        st.floats(1e-9, 1.0))
 def test_signs_match_scalar_on_float_em_random(sigmas, a):
     _assert_signs_match_scalar(sigmas, a)
+
+
+def test_exclusion_balls_hold_against_mpmath():
+    # every point of a stored ball, at 30 digits, has |zeta| > target and
+    # the ball's sign: the sign a scan takes there without a sum
+    rng = random.Random(1234)
+    target = EvalParams().target_abs_error
+    balls = 0
+    while balls < 40:
+        sigma, a = rng.uniform(-3.0, 0.0), rng.uniform(0.0, 1.0) or 1.0
+        ev = Evaluator(a)
+        sign = ev.sign(sigma)
+        start, radius, ball_sign = ev._ball
+        if start != sigma:  # the loose sum did not certify
+            continue
+        balls += 1
+        assert ball_sign == sign and 0.0 <= radius < -sigma
+        with mpmath.workdps(30):
+            for i in range(5):
+                z = mpmath.zeta(mpmath.mpf(sigma + radius * i / 4),
+                                mpmath.mpf(a))
+                assert abs(z) > target and mpmath.sign(z) == sign, (
+                    sigma, a, i)
+
+
+def test_exclusion_slope_bound_covers_the_derivative():
+    # the helper's pref * L1(s), read back from a radius at a tiny margin,
+    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|
+    rng = random.Random(77)
+    for s in [1.001, 4.0] + [rng.uniform(1.001, 4.0) for _ in range(30)]:
+        sigma, margin = 1.0 - s, 1e-9
+        radius = _exclusion_radius(sigma, margin)
+        with mpmath.workdps(30):
+            s_mp = 1 - mpmath.mpf(sigma)
+            pref = 2 * mpmath.gamma(s_mp) / (2 * mpmath.pi) ** s_mp
+            slope = (mpmath.pi / 2 * mpmath.zeta(s_mp)
+                     - mpmath.zeta(s_mp, 1, 1))
+            assert margin / radius >= pref * slope, s
+
+
+def test_prefactor_rises_with_sigma_on_float_em_strips():
+    # pref = 2 Gamma(s)/(2 pi)^s falls in s while psi(s) < ln 2 pi; psi
+    # rises, so s <= 4 (sigma >= -3) suffices, which a ball's lower bound
+    # on |zeta| takes for granted
+    assert mpmath.digamma(4) < mpmath.log(2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("sigma", [-5e-324, -1e-17, -3.0])
+def test_exclusion_radius_at_strip_ends_is_finite(sigma):
+    for margin in (5e-324, 1e-10, 1.0):
+        radius = _exclusion_radius(sigma, margin)
+        assert 0.0 <= radius < math.inf
 
 
 # ------------------------------------------------------------------ gamma

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hurwitz_real_zeros import zero_analysis
 from hurwitz_real_zeros.bernoulli import IndeterminateSign, even_roots
 from hurwitz_real_zeros.hurwitz import (
+    SIGN_HEAD_TERMS,
     EvalParams,
     gamma_sign,
     hurwitz_zeta,
@@ -199,6 +200,36 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
     assert uniqueness_check(2, 0.3) == 1
     assert [ev.signs for ev in made] == [512 + 24, 510]
     assert scalar_calls[0] == 1
+
+
+def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
+    # a ball stored by one grid point serves the next ones: the signs must
+    # be those of an evaluator with no ball, at every point
+    rng = random.Random(12)
+    for N in range(0, 3):
+        grid = scan_grid(N, 512, EvalParams().target_abs_error)
+        for a in (rng.uniform(0.0, 1.0) or 1.0, 1e-6, 0.01, 0.25, 0.5, 0.75,
+                  1.0):
+            ev = zero_analysis.Evaluator(a)
+            assert [ev.sign(x) for x in grid] == [
+                zero_analysis.Evaluator(a).sign(x) for x in grid], (N, a)
+
+
+def test_float_em_scans_skip_loose_sums_inside_balls(monkeypatch):
+    loose = [0]
+    em_float = zero_analysis.Evaluator._em_float
+
+    def counted(self, sigma, M, target):
+        loose[0] += M == SIGN_HEAD_TERMS
+        return em_float(self, sigma, M, target)
+
+    monkeypatch.setattr(zero_analysis.Evaluator, "_em_float", counted)
+    # with no balls, (1, 0.4) summed once per grid point and bisection
+    # step: 512 + 24
+    for N, a, most in ((1, 0.4, 60), (2, 0.3, 10)):
+        loose[0] = 0
+        locate_zeros(N, a)
+        assert loose[0] <= most, (N, a, loose[0])
 
 
 def _full_value_zeros(N, a, params=EvalParams()):
