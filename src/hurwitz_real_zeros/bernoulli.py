@@ -13,12 +13,11 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, inf, lcm
-from typing import Sequence, Tuple, Union
+from math import comb, lcm
+from typing import Callable, Sequence, Tuple, Union
 
 __all__ = [
     "RATIONAL_CAP",
-    "ROOT_TOL",
     "IndeterminateSign",
     "BernoulliPolynomial",
     "EvenRootPair",
@@ -27,14 +26,12 @@ __all__ = [
     "eval_poly",
     "derivative_coefficients",
     "sign_on_unit_interval",
+    "bisect_sign",
     "even_roots",
 ]
 
 #: Largest index for which exact rational values are produced.
 RATIONAL_CAP = 64
-
-#: Bracket half-width of b_n^-, b_n^+ wherever a query reads root positions.
-ROOT_TOL = 1e-13
 
 Number = Union[int, Fraction, float]
 
@@ -70,7 +67,9 @@ class BernoulliPolynomial:
 
 @dataclass(frozen=True)
 class EvenRootPair:
-    """The two roots of an even-index Bernoulli polynomial in (0,1)."""
+    """The two roots of an even-index Bernoulli polynomial in (0,1): each
+    float is an end of a bracket with opposite exact signs of B_n at its
+    ends, so the root lies within `residual_bound` of it."""
 
     n: int
     b_minus: float
@@ -146,60 +145,48 @@ def derivative_coefficients(p: BernoulliPolynomial) -> Tuple[Fraction, ...]:
     return tuple(k * c for k, c in enumerate(p.coefficients) if k > 0)
 
 
-def _refine_root(coeffs, dcoeffs, lo, hi, tol):
-    """Bracketed root refinement: alternate bisection and Newton steps.
-
-    The bracket [lo, hi] must have opposite signs at its endpoints.  A Newton
-    step leaving the bracket falls back to the midpoint, and every other
-    iteration is a plain bisection step, so the bracket provably halves at
-    least every two iterations.  Returns (root, half-width reached).
-    """
-    flo = _float_horner(coeffs, lo)
-    fhi = _float_horner(coeffs, hi)
-    assert (flo < 0.0) != (fhi < 0.0), "initial sign bracket failed"
-    use_newton = False
+def bisect_sign(sign: Callable[[float], int], lo: float, hi: float,
+                slo: int, tol: float) -> Tuple[float, float]:
+    """Bisect [lo, hi], whose ends have the signs slo and -slo, on `sign`
+    to half-width <= tol or neighbouring floats.  Returns (x, half-width);
+    a midpoint of sign 0 returns (mid, 0.0)."""
     while (hi - lo) / 2.0 > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # lo and hi are neighbouring floats
             break
-        x_new = mid
-        if use_newton:
-            d = _float_horner(dcoeffs, mid)
-            if d != 0.0:
-                cand = mid - _float_horner(coeffs, mid) / d
-                if lo < cand < hi:
-                    x_new = cand
-        use_newton = not use_newton
-        fx = _float_horner(coeffs, x_new)
-        if fx == 0.0:
-            return x_new, 0.0
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x_new, fx
+        sm = sign(mid)
+        if sm == 0:
+            return mid, 0.0
+        if sm == slo:
+            lo = mid
         else:
-            hi = x_new
-    x = 0.5 * (lo + hi)  # at neighbouring floats x is an end, hi - lo away
+            hi = mid
+    # at neighbouring floats x is an end, hi - lo from the other
+    x = 0.5 * (lo + hi)
     return x, ((hi - lo) / 2.0 if lo < x < hi else hi - lo)
 
 
 @lru_cache(maxsize=None)
-def even_roots(n: int, tol: float = ROOT_TOL) -> EvenRootPair:
-    """Locate b_n^- and b_n^+ for even n >= 2 to bracket half-width <= tol
-    or neighbouring floats; `residual_bound` is max(tol, half-width reached).
+def even_roots(n: int) -> EvenRootPair:
+    """Locate b_n^- and b_n^+ for even n >= 2 by bisection on the exact sign
+    of B_n at each float midpoint, down to neighbouring floats;
+    `residual_bound` is the larger bracket width reached, <= 2^-53.
 
-    The initial brackets [0,1/2] and [1/2,1] are guaranteed: B_n(0) = B_n and
-    B_n(1/2) = (2^(1-n)-1) B_n carry opposite signs for even n, nonzero
-    in floats too for n <= `RATIONAL_CAP`.
+    The initial brackets [0,1/2] and [1/2,1] are guaranteed: B_n(0) = B_n
+    and B_n(1/2) = (2^(1-n)-1) B_n carry opposite signs for even n.
     """
-    if not 0.0 < tol < inf:
-        raise ValueError("tolerance must be finite and positive")
     if n < 2 or n % 2 != 0:
         raise ValueError("even index >= 2 required")
     p = bernoulli_polynomial(n)
-    coeffs = p.float_coefficients
-    dcoeffs = tuple(float(c) for c in derivative_coefficients(p))
-    b_minus, r_minus = _refine_root(coeffs, dcoeffs, 0.0, 0.5, tol)
-    b_plus, r_plus = _refine_root(coeffs, dcoeffs, 0.5, 1.0, tol)
-    return EvenRootPair(n, b_minus, b_plus, max(tol, r_minus, r_plus))
+
+    def sign(x: float) -> int:
+        v = eval_poly(p, Fraction(x))
+        return (v > 0) - (v < 0)
+
+    s0 = sign(0.0)
+    b_minus, r_minus = bisect_sign(sign, 0.0, 0.5, s0, 0.0)
+    b_plus, r_plus = bisect_sign(sign, 0.5, 1.0, -s0, 0.0)
+    return EvenRootPair(n, b_minus, b_plus, max(r_minus, r_plus))
 
 
 def sign_on_unit_interval(n: int, x: Number) -> int:
@@ -209,8 +196,8 @@ def sign_on_unit_interval(n: int, x: Number) -> int:
     sign of (-1)^(k-1) B_2k(x) is positive outside (b^-, b^+) and negative
     inside; for odd n = 2k+1 it is positive on (0,1/2), negative on (1/2,1),
     and zero at 1/2, and at 0 and 1 too for n >= 3 (B_1 = x - 1/2).
-    Queries within `ROOT_TOL` of an even-index root raise
-    `IndeterminateSign`.
+    Queries within `even_roots(n).residual_bound` of an even-index root
+    raise `IndeterminateSign`.
     """
     if n < 1:
         raise ValueError("index must be >= 1")

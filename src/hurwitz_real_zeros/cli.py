@@ -95,7 +95,7 @@ def _cmd_roots(args, config: dict) -> int:
         b_minus, b_plus = 0.0, 0.5
         note = "exact: odd-index roots in [0,1/2) and [1/2,1) are 0 and 1/2"
     else:
-        pair = even_roots(n, args.tol)
+        pair = even_roots(n)
         b_minus, b_plus = pair.b_minus, pair.b_plus
         note = ""
     lo, hi = _fmt(b_minus, d), _fmt(b_plus, d)
@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["table", "csv", "json",
                                             "plot-xy"], default="table")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="evaluator target / refinement tolerance")
+                       help="evaluator target and zero bracket half-width "
+                            "(Bernoulli roots bisect to neighbouring floats)")
         p.add_argument("--grid", type=int, default=512,
                        help="scan grid points per interval")
         p.add_argument("--delta", type=float, default=1e-3,

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .bernoulli import (
     IndeterminateSign,
     bernoulli_polynomial,
+    bisect_sign,
     eval_poly,
     even_roots,
     sign_on_unit_interval,
@@ -129,8 +130,9 @@ def predict_zero_explicit(N: int, a: float) -> bool:
     Even N uses the roots of B_(N+2): zeros exist iff 0 < a < b^- or
     1/2 < a < b^+.  Odd N uses the roots of B_(N+1): zeros exist iff
     b^- < a < 1/2 or b^+ < a < 1.  Both read off the signs of B_(N+1) and
-    B_(N+2) from `sign_on_unit_interval`, so queries within `ROOT_TOL` of
-    b^- or b^+ raise IndeterminateSign, and so do queries at 1/2.
+    B_(N+2) from `sign_on_unit_interval`, so queries within
+    `even_roots(n).residual_bound` of b^- or b^+ raise IndeterminateSign,
+    and so do queries at 1/2.
     """
     N = int(N)
     if N < 0:
@@ -160,29 +162,6 @@ def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     return [lo + i * step for i in range(grid_points)]
 
 
-def _refine_sign_change(ev: Evaluator, lo: float, hi: float, slo: int,
-                        tol: float) -> LocatedZero:
-    """Bisect [lo, hi], whose ends have the signs slo and -slo, on
-    `ev.sign` to half-width <= tol or neighbouring floats."""
-    while (hi - lo) / 2.0 > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are neighbouring floats
-            break
-        sm = ev.sign(mid)
-        if sm == 0:
-            lo = hi = mid
-            break
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    # at neighbouring floats sigma is an end, hi - lo from the other
-    sigma = 0.5 * (lo + hi)
-    halfwidth = (hi - lo) / 2.0 if lo < sigma < hi else hi - lo
-    return LocatedZero(sigma=sigma, bracket_halfwidth=halfwidth,
-                       residual=abs(hurwitz_zeta(sigma, ev.a, ev.params)))
-
-
 def locate_zeros(
     N: int,
     a: float,
@@ -204,9 +183,11 @@ def locate_zeros(
             zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
                                      residual=0.0))
         elif prev_s != 0 and sx != prev_s:
-            zeros.append(_refine_sign_change(ev, prev_x, x, prev_s, tol))
+            sigma, h = bisect_sign(ev.sign, prev_x, x, prev_s, tol)
+            zeros.append(LocatedZero(
+                sigma=sigma, bracket_halfwidth=h,
+                residual=abs(hurwitz_zeta(sigma, ev.a, ev.params))))
         prev_x, prev_s = x, sx
-    zeros.sort(key=lambda z: z.sigma)
     return zeros
 
 
@@ -249,7 +230,8 @@ def uniqueness_check(
 
 
 def polynomial_roots_in_unit(m: int):
-    """Roots of B_m(x) in (0, 1] (to `ROOT_TOL` for even m, else exact)."""
+    """Roots of B_m(x) in (0, 1] (for even m within `even_roots(m)`'s
+    `residual_bound`, else exact)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
     if m == 0:

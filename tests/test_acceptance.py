@@ -63,11 +63,11 @@ def test_criterion_1_theorem_sweep(capsys):
 
 
 def test_criterion_2_root_values():
-    pair2 = even_roots(2, 1e-13)
+    pair2 = even_roots(2)
     assert abs(pair2.b_minus - (3 - math.sqrt(3)) / 6) < 1e-12
     assert abs(pair2.b_plus - (3 + math.sqrt(3)) / 6) < 1e-12
     r = math.sqrt(1 - 4 / math.sqrt(30))
-    pair4 = even_roots(4, 1e-13)
+    pair4 = even_roots(4)
     assert abs(pair4.b_minus - (1 - r) / 2) < 1e-12
     assert abs(pair4.b_plus - (1 + r) / 2) < 1e-12
     _report(2, "b_2 and b_4 roots match closed forms within 1e-12")

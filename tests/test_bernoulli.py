@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hurwitz_real_zeros.bernoulli import (
     RATIONAL_CAP,
     IndeterminateSign,
-    _float_horner,
     bernoulli_number,
     bernoulli_polynomial,
+    bisect_sign,
     derivative_coefficients,
     eval_poly,
     even_roots,
@@ -205,7 +205,7 @@ def test_forward_difference(n, num, den):
 # ------------------------------------------------------------------ roots
 
 def test_b2_closed_form():
-    pair = even_roots(2, 1e-13)
+    pair = even_roots(2)
     assert pair.b_minus == pytest.approx((3 - math.sqrt(3)) / 6, abs=1e-12)
     assert pair.b_plus == pytest.approx((3 + math.sqrt(3)) / 6, abs=1e-12)
 
@@ -213,7 +213,7 @@ def test_b2_closed_form():
 def test_b4_closed_form():
     # B_4(x) = (x^2 - x)^2 - 1/30, solved by hand
     r = math.sqrt(1 - 4 / math.sqrt(30))
-    pair = even_roots(4, 1e-13)
+    pair = even_roots(4)
     assert pair.b_minus == pytest.approx((1 - r) / 2, abs=1e-12)
     assert pair.b_plus == pytest.approx((1 + r) / 2, abs=1e-12)
 
@@ -221,7 +221,7 @@ def test_b4_closed_form():
 def test_root_ordering_and_residuals():
     tol = 1e-13
     for n in range(2, 21, 2):
-        pair = even_roots(n, tol)
+        pair = even_roots(n)
         assert 0 < pair.b_minus < 0.5 < pair.b_plus < 1
         p = bernoulli_polynomial(n)
         dp = derivative_coefficients(p)
@@ -232,41 +232,63 @@ def test_root_ordering_and_residuals():
 
 def test_even_roots_rejects_bad_input():
     with pytest.raises(ValueError):
-        even_roots(3, 1e-12)
-    with pytest.raises(ValueError):
-        even_roots(2, -1.0)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-def test_even_roots_rejects_bad_tolerance(tol):
-    # a NaN tolerance used to stop the refinement at once and return
-    # b^- = 0.25 with a NaN residual bound
-    with pytest.raises(ValueError, match="finite and positive"):
-        even_roots(4, tol)
+        even_roots(3)
 
 
 def test_root_brackets_have_nonzero_float_ends():
-    # _refine_root starts from [0, 1/2] and [1/2, 1] and has no branch for
-    # an end where the float polynomial is exactly zero
+    # even_roots reads the sign at 0 and bisects [0, 1/2] and [1/2, 1] on
+    # the premise B_n(0) = B_n(1) = B_n and B_n(1/2) = (2^(1-n)-1) B_n
     for n in range(2, RATIONAL_CAP + 1, 2):
-        coeffs = bernoulli_polynomial(n).float_coefficients
-        for x in (0.0, 0.5, 1.0):
-            assert _float_horner(coeffs, x) != 0.0
+        p = bernoulli_polynomial(n)
+        b = bernoulli_number(n)
+        assert b != 0
+        assert eval_poly(p, F(0)) == eval_poly(p, F(1)) == b
+        assert eval_poly(p, F(1, 2)) == (F(2) ** (1 - n) - 1) * b
 
 
-def test_even_roots_below_float_spacing_returns():
-    # a tolerance under half the float spacing at a root used to loop
-    # forever: the midpoint of neighbouring floats is one of them
-    pair = even_roots(4, 1e-20)
-    coeffs = bernoulli_polynomial(4).float_coefficients
-    r = pair.residual_bound
-    for b in (pair.b_minus, pair.b_plus):
-        assert r >= math.ulp(b)
-        # the bisected polynomial changes sign within r of b
-        signs = {math.copysign(1.0, _float_horner(coeffs, x))
-                 for x in (b - r, b, b + r)}
-        assert signs == {-1.0, 1.0}
-    assert pair.b_minus == even_roots(4).b_minus
+def test_even_roots_brackets_certified_by_exact_signs():
+    # each root is an end of a bracket down to neighbouring floats, with
+    # opposite exact signs of B_n at its ends; float Horner signs used to
+    # miss 17 of these 64 brackets when asked for a bound below 1e-16
+    for n in range(2, RATIONAL_CAP + 1, 2):
+        pair = even_roots(n)
+        p = bernoulli_polynomial(n)
+        r = F(pair.residual_bound)
+        assert 0 < pair.residual_bound <= 2.0 ** -53
+        for b in (pair.b_minus, pair.b_plus):
+            lo, hi = eval_poly(p, F(b) - r), eval_poly(p, F(b) + r)
+            assert lo * hi < 0, (n, b)
+
+
+def test_bisect_sign_stops_at_neighbouring_floats():
+    def no_midpoint(t):
+        raise AssertionError(f"sign asked at {t}")
+
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)
+    for tol in (0.0, 1e-300):
+        x, h = bisect_sign(no_midpoint, lo, hi, 1, tol)
+        assert x in (lo, hi)
+        assert h == hi - lo
+    # a sign change at the float 1/3 ends on the neighbouring floats there
+    x, h = bisect_sign(lambda t: 1 if t < 1 / 3 else -1, 0.0, 1.0, 1, 0.0)
+    assert abs(x - 1 / 3) <= h == math.ulp(1 / 3)
+
+
+def test_bisect_sign_returns_midpoint_of_sign_zero():
+    calls = []
+
+    def sign(t):
+        calls.append(t)
+        return 0
+
+    assert bisect_sign(sign, -1.0, 3.0, -1, 1e-3) == (1.0, 0.0)
+    assert calls == [1.0]
+
+
+def test_bisect_sign_stops_at_tolerance():
+    x, h = bisect_sign(lambda t: -1 if t < 0.3 else 1, 0.0, 1.0, -1, 0.1)
+    assert h <= 0.1 and abs(x - 0.3) <= h
 
 
 # ------------------------------------------------------------------ signs
@@ -294,6 +316,22 @@ def test_sign_oracle_agrees_with_exact_evaluation():
             value = eval_poly(bernoulli_polynomial(n), x)
             expected = 0 if value == 0 else (1 if value > 0 else -1)
             assert sign_on_unit_interval(n, xf) == expected
+
+
+def test_sign_oracle_exact_just_outside_root_band():
+    # the band is the certified bracket width: two widths from a reported
+    # root the oracle already matches exact evaluation, for every even n
+    for n in range(2, RATIONAL_CAP + 1, 2):
+        pair = even_roots(n)
+        p = bernoulli_polynomial(n)
+        r = pair.residual_bound
+        for b in (pair.b_minus, pair.b_plus):
+            with pytest.raises(IndeterminateSign):
+                sign_on_unit_interval(n, b)
+            for x in (b - 2 * r, b + 2 * r):
+                value = eval_poly(p, F(x))
+                assert sign_on_unit_interval(n, x) == (1 if value > 0
+                                                       else -1)
 
 
 def test_sign_oracle_odd_indices():

@@ -88,10 +88,11 @@ def test_roots_even(capsys):
 
 
 def test_roots_tolerance_below_float_spacing_returns(capsys):
+    # --tol is the evaluator's; roots always bisect to neighbouring floats
     code, out, _ = run(capsys, "roots", "--n", "4", "--tol", "1e-20",
                        "--format", "json")
     assert code == 0
-    pair = even_roots(4, 1e-20)
+    pair = even_roots(4)
     doc = json.loads(out)
     assert (doc["b_minus"], doc["b_plus"]) == (pair.b_minus, pair.b_plus)
 
@@ -144,8 +145,8 @@ def test_predict_prints_explicit_band_message(capsys):
                        "--a", "0.24033518882038593")
     assert code == 0
     assert out.splitlines()[-1] == (
-        "explicit form indeterminate: a=0.24033518882038593 within 1e-13 "
-        "of a root of B_4")
+        "explicit form indeterminate: a=0.24033518882038593 within "
+        "1.1102230246251565e-16 of a root of B_4")
 
 
 # ------------------------------------------------------------------- scan
