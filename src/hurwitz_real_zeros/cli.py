@@ -236,25 +236,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *options):
+        """--digits, --format and the named ones of tol, grid, delta."""
         p.add_argument("--digits", type=int, default=12,
                        help="significant digits in numeric output")
         p.add_argument("--format", choices=["table", "csv", "json",
                                             "plot-xy"], default="table")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="evaluator target and zero bracket half-width "
-                            "(Bernoulli roots bisect to neighbouring floats)")
-        p.add_argument("--grid", type=int, default=512,
-                       help="scan grid points per interval")
-        p.add_argument("--delta", type=float, default=1e-3,
-                       help="boundary exclusion distance for sweeps")
+        if "tol" in options:
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="evaluator target and zero bracket "
+                                "half-width")
+        if "grid" in options:
+            p.add_argument("--grid", type=int, default=512,
+                           help="scan grid points per interval")
+        if "delta" in options:
+            p.add_argument("--delta", type=float, default=1e-3,
+                           help="boundary exclusion distance for sweeps")
 
     p = sub.add_parser("eval", help="evaluate zeta(sigma, a)")
     p.add_argument("--sigma", type=float, required=True,
                    help="real argument; write a negative value in exponent "
                         "form as --sigma=-2.5e-05")
     p.add_argument("--a", type=float, required=True)
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("roots", help="roots of the nth Bernoulli polynomial")
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--curve", action="store_true",
                    help="emit the scanned (sigma, zeta) curve instead")
-    common(p)
+    common(p, "tol", "grid")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="sweep predictions against the "
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--astep", type=float, required=True)
     p.add_argument("--uniqueness", action="store_true",
                    help="also count zeros per deep interval [-2M-2, -2M)")
-    common(p)
+    common(p, "tol", "grid", "delta")
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -293,15 +297,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 < args.tol < math.inf:
+        if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValueError("tolerances must be finite and positive")
-        if not 0.0 < args.delta < math.inf:
+        if "delta" in args and not 0.0 < args.delta < math.inf:
             raise ValueError("exclusion delta must be finite and positive")
-        # echoed into every JSON report; --tol is both the evaluator
-        # target and the refinement tolerance
-        config = dict(target_abs_error=args.tol, grid_points=args.grid,
-                      refine_tol=args.tol, exclusion_delta=args.delta,
-                      digits=args.digits, deterministic=True)
+        # echoed into every JSON report: the options this command has
+        config = {key: getattr(args, name) for name, key in (
+            ("tol", "target_abs_error"), ("grid", "grid_points"),
+            ("delta", "exclusion_delta")) if name in args}
+        config.update(digits=args.digits, deterministic=True)
         return args.func(args, config)
     except (PoleError, StripError, IndeterminateSign, ValueError,
             TypeError) as exc:

@@ -42,9 +42,13 @@ by more than the target, then |zeta| > target and v' has the sign of
 zeta, which is also the sign of the full value, within target of zeta.
 Only the other points -- the few near a zero -- are evaluated in full,
 so a scan needs no guarded mpmath below sigma = -21 except next to a zero.
-On [-3, 0) the excess |v'| - b' - target also clears a ball [sigma,
+On [-3, 1) the excess |v'| - b' - target also clears a ball [sigma,
 sigma + r] with |zeta| > target, whose sign later calls inside it take
-with no sum: a 512-point grid on N = 0..2 makes a median of 6-73 sums.
+with no sum.  r comes from a bound on |zeta'|: Euler-Maclaurin's where
+(1 + sigma) ln(`SIGN_HEAD_TERMS` + a) >= 1 (every sigma >= -0.09, so all
+of N = -1 and N = 0's end next to sigma = 0), Hurwitz's series' below.
+The grid signs of a 512-point scan on N = -1..2 make a median of 32, 38,
+13 and 15 sums (200 seeded a per strip).
 """
 
 from __future__ import annotations
@@ -279,6 +283,47 @@ def _exclusion_radius(sigma: float, margin: float) -> float:
     return min(r, margin / (pref * slope(t - r)))
 
 
+def _em_exclusion_radius(sigma: float, a: float, margin: float) -> float:
+    """r >= 0 with zeta(., a) of one sign and |zeta| > |zeta(sigma, a)| -
+    margin on [sigma, sigma + r], if sigma < 1, 0 < margin < |zeta| and
+    (1 + sigma) ln q >= 1, with q = M + a and M = `SIGN_HEAD_TERMS`.  A
+    loose sum that certifies has a^-sigma < 1e12 (rounding passes its
+    target above), and s <= (1 + sigma)/2 on the ball, so a^-s <=
+    sqrt(1e12/a) stays a float.
+
+    Euler-Maclaurin with P1(x) = {x} - 1/2 gives, for s > -1, zeta(s, a) =
+    sum_(n<M) (n+a)^-s + q^(1-s)/(s-1) + q^-s/2 - s int_M^oo P1 (x+a)^(-s-1),
+    so zeta' = -sum ln(n+a) (n+a)^-s - q^(1-s) (1 - (1-s) ln q)/(1-s)^2 -
+    (ln q/2) q^-s - int P1 (x+a)^(-s-1) + s int P1 ln(x+a) (x+a)^(-s-1).
+    |int_M^oo P1 f| <= f(M)/8 for f positive and falling to 0 (pair t with
+    1 - t on each unit interval, then telescope): both integrands are, the
+    second as (1 + s) ln q >= 1 holds at sigma, so on the ball.  So with
+    |s| < 1, |zeta'| <= L = |ln a| a^-s + sum_(n=1..M-1) ln(n+a) (n+a)^-s +
+    q^(1-s) |1 - (1-s) ln q|/(1-s)^2 + (ln q/2) q^-s + (1 + ln q)
+    q^(-s-1)/8.  On [sigma, hi], a^-s
+    and 1/(1-s)^2 peak at hi, the other powers at sigma, and the linear
+    1 - (1-s) ln q at an end.  r1 from L(sigma, sigma) capped at (1 -
+    sigma)/2, off the pole, then r from L(sigma, sigma + r1), with L
+    inflated by 1e-12 for rounding, keep L r <= margin.
+    """
+    q = SIGN_HEAD_TERMS + a
+    ln_q = math.log(q)
+    d = 1.0 - sigma  # 1 - s at s = sigma
+
+    def slope(t):  # L on [sigma, sigma + t]
+        e = d - t
+        return (1.0 + 1e-12) * (
+            -math.log(a) * a ** (-sigma - t)
+            + sum(math.log(n + a) * (n + a) ** -sigma
+                  for n in range(1, SIGN_HEAD_TERMS))
+            + q ** d * max(abs(1.0 - d * ln_q), abs(1.0 - e * ln_q)) / (e * e)
+            + 0.5 * ln_q * q ** -sigma + (1.0 + ln_q) * q ** (-sigma - 1.0)
+            / 8.0)
+
+    r = min(margin / slope(0.0), 0.5 * d)
+    return max(0.0, min(r, margin / slope(r)))
+
+
 class Evaluator:
     """zeta(., a) under one `EvalParams`.
 
@@ -413,8 +458,10 @@ class Evaluator:
         terms on [-3, 1).  If that value v' exceeds its bound b' (truncation
         and rounding) by more than the target, then |zeta| > target and
         sign(v') is the sign of zeta, and of any value within target of it.
-        For -3 <= sigma < 0 the excess stores a ball from `_exclusion_radius`
-        with |zeta| > target, whose sign later calls inside it return.
+        For -3 <= sigma < 1 the excess stores a ball with |zeta| > target,
+        whose sign later calls inside it return: its radius is
+        `_em_exclusion_radius` where (1 + sigma) ln(`SIGN_HEAD_TERMS` + a)
+        >= 1, else `_exclusion_radius`.
         Otherwise the sign is that of self(sigma)[0].  So `sign` raises only
         where self(sigma) raises and no cheap sum or ball certifies.
         """
@@ -436,9 +483,13 @@ class Evaluator:
                 margin = abs(val) - bound - target
                 if margin > 0.0:
                     sgn = 1 if val > 0.0 else -1
-                    if sigma < 0.0:  # a few ulps for the margin's rounding
-                        self._ball = (sigma, _exclusion_radius(
-                            sigma, margin - 2.0 * _EPS * abs(val)), sgn)
+                    margin -= 2.0 * _EPS * abs(val)  # its rounding
+                    ln_q = self._heads[SIGN_HEAD_TERMS][2]  # from _em_float
+                    if (1.0 + sigma) * ln_q >= 1.0:
+                        r = _em_exclusion_radius(sigma, self.a, margin)
+                    else:
+                        r = _exclusion_radius(sigma, margin)
+                    self._ball = (sigma, r, sgn)
                     return sgn
         val = self(sigma)[0]
         return (val > 0.0) - (val < 0.0)

@@ -88,13 +88,43 @@ def test_roots_even(capsys):
 
 
 def test_roots_tolerance_below_float_spacing_returns(capsys):
-    # --tol is the evaluator's; roots always bisect to neighbouring floats
-    code, out, _ = run(capsys, "roots", "--n", "4", "--tol", "1e-20",
-                       "--format", "json")
+    # roots always bisect to neighbouring floats and take no --tol: argparse
+    # rejects it at once, as it does --grid and --delta
+    for option in ("--tol", "--grid", "--delta"):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--n", "4", option, "1e-20", "--format", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "roots", "--n", "4", "--format", "json")
     assert code == 0
     pair = even_roots(4)
     doc = json.loads(out)
     assert (doc["b_minus"], doc["b_plus"]) == (pair.b_minus, pair.b_plus)
+    assert doc["config"] == {"deterministic": True, "digits": 12}
+
+
+@pytest.mark.parametrize("command, options", [
+    (["eval", "--sigma", "-1", "--a", "0.3"], {"tol"}),
+    (["predict", "--N", "2", "--a", "0.3"], set()),
+    (["scan", "--N", "1", "--a", "0.4", "--grid", "64"], {"tol", "grid"}),
+    (["verify", "--nmin", "0", "--nmax", "0", "--astep", "0.5", "--grid",
+      "16"], {"tol", "grid", "delta"}),
+])
+def test_commands_take_and_echo_only_the_options_they_read(
+        capsys, command, options):
+    values = {"tol": "1e-9", "grid": "32", "delta": "0.01"}
+    keys = {"tol": "target_abs_error", "grid": "grid_points",
+            "delta": "exclusion_delta"}
+    for option in set(values) - options:
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--{option}", values[option]])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, *command, "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == {keys[o] for o in options} | {
+        "digits", "deterministic"}
 
 
 def test_roots_odd_exact(capsys):

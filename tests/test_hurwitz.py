@@ -21,7 +21,9 @@ from hurwitz_real_zeros.hurwitz import (
     Evaluator,
     PoleError,
     StripError,
+    SIGN_HEAD_TERMS,
     SMALL_X_THRESHOLD,
+    _em_exclusion_radius,
     _exclusion_radius,
     _integrand_G_direct,
     check_shift,
@@ -549,27 +551,54 @@ def test_signs_match_scalar_on_float_em_random(sigmas, a):
     _assert_signs_match_scalar(sigmas, a)
 
 
-def test_exclusion_balls_hold_against_mpmath():
-    # every point of a stored ball, at 30 digits, has |zeta| > target and
-    # the ball's sign: the sign a scan takes there without a sum
-    rng = random.Random(1234)
+def _uses_em_ball(sigma, a):
+    return (1.0 + sigma) * math.log(SIGN_HEAD_TERMS + a) >= 1.0
+
+
+def _assert_ball_holds(sigma, a, points):
+    """`Evaluator(a).sign(sigma)` stores a ball when its loose sum
+    certifies; every one of `points` points across it has, at 30 digits,
+    |zeta| > target and the ball's sign, the sign a scan takes there without
+    a sum.  Returns whether a ball was stored."""
+    ev = Evaluator(a)
+    sign = ev.sign(sigma)
+    start, radius, ball_sign = ev._ball
+    if start != sigma:  # the loose sum did not certify
+        return False
+    # the ball stays inside the range its slope bound holds on: s < 1 for
+    # Euler-Maclaurin's, s < 0 for the Fourier series'
+    end = 1.0 if _uses_em_ball(sigma, a) else 0.0
+    assert ball_sign == sign and 0.0 <= radius and sigma + radius < end
     target = EvalParams().target_abs_error
+    with mpmath.workdps(30):
+        for i in range(points):
+            z = mpmath.zeta(mpmath.mpf(sigma + radius * i / (points - 1)),
+                            mpmath.mpf(a))
+            assert abs(z) > target and mpmath.sign(z) == sign, (sigma, a, i)
+    return True
+
+
+def test_exclusion_balls_hold_against_mpmath():
+    rng = random.Random(1234)
     balls = 0
     while balls < 40:
-        sigma, a = rng.uniform(-3.0, 0.0), rng.uniform(0.0, 1.0) or 1.0
-        ev = Evaluator(a)
-        sign = ev.sign(sigma)
-        start, radius, ball_sign = ev._ball
-        if start != sigma:  # the loose sum did not certify
-            continue
-        balls += 1
-        assert ball_sign == sign and 0.0 <= radius < -sigma
-        with mpmath.workdps(30):
-            for i in range(5):
-                z = mpmath.zeta(mpmath.mpf(sigma + radius * i / 4),
-                                mpmath.mpf(a))
-                assert abs(z) > target and mpmath.sign(z) == sign, (
-                    sigma, a, i)
+        balls += _assert_ball_holds(rng.uniform(-3.0, 0.0),
+                                    rng.uniform(0.0, 1.0) or 1.0, 5)
+
+
+def test_em_exclusion_balls_hold_against_mpmath():
+    # balls from the Euler-Maclaurin slope bound, on [-0.28, 1): both sides
+    # of sigma = 0, next to the pole, and a = 1, where (1 + sigma) ln q >= 1
+    # reaches lowest
+    rng = random.Random(4321)
+    for a in (0.01, 0.45, 0.5, 1.0, rng.uniform(0.0, 1.0) or 1.0):
+        lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
+        balls = 0
+        while balls < 12:
+            sigma = (rng.uniform(0.95, 1.0) if balls % 4 == 0
+                     else rng.uniform(max(lowest, -0.28), 1.0))
+            if sigma < 1.0 and _uses_em_ball(sigma, a):
+                balls += _assert_ball_holds(sigma, a, 9)
 
 
 def test_exclusion_slope_bound_covers_the_derivative():
@@ -599,6 +628,34 @@ def test_exclusion_radius_at_strip_ends_is_finite(sigma):
     for margin in (5e-324, 1e-10, 1.0):
         radius = _exclusion_radius(sigma, margin)
         assert 0.0 <= radius < math.inf
+
+
+def test_em_exclusion_slope_bound_covers_the_derivative():
+    # margin / radius is at least max |zeta'| over the ball, at a tiny
+    # margin (a tiny ball) and at half of |zeta| (a ball reaching out)
+    rng = random.Random(78)
+    for _ in range(30):
+        a = rng.choice((0.01, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
+        lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
+        sigma = rng.choice((rng.uniform(lowest, 1.0),
+                            rng.uniform(0.95, 1.0), lowest))
+        half = abs(_mp_zeta(sigma, a)) / 2.0
+        for margin in (1e-9, half):
+            radius = _em_exclusion_radius(sigma, a, margin)
+            assert radius > 0.0
+            with mpmath.workdps(30):
+                slope = max(abs(mpmath.zeta(
+                    mpmath.mpf(sigma + radius * i / 8), mpmath.mpf(a), 1))
+                    for i in range(9))
+            assert margin / radius >= slope, (sigma, a, margin)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-6, 0.3, 1.0])
+def test_em_exclusion_radius_at_range_ends_is_finite(a):
+    for sigma in (1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0, 0.99):
+        for margin in (5e-324, 1.0):
+            radius = _em_exclusion_radius(sigma, a, margin)
+            assert 0.0 <= radius < math.inf
 
 
 # ------------------------------------------------------------------ gamma

@@ -206,7 +206,7 @@ def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
     # a ball stored by one grid point serves the next ones: the signs must
     # be those of an evaluator with no ball, at every point
     rng = random.Random(12)
-    for N in range(0, 3):
+    for N in range(-1, 3):
         grid = scan_grid(N, 512, EvalParams().target_abs_error)
         for a in (rng.uniform(0.0, 1.0) or 1.0, 1e-6, 0.01, 0.25, 0.5, 0.75,
                   1.0):
@@ -225,8 +225,10 @@ def test_float_em_scans_skip_loose_sums_inside_balls(monkeypatch):
 
     monkeypatch.setattr(zero_analysis.Evaluator, "_em_float", counted)
     # with no balls, (1, 0.4) summed once per grid point and bisection
-    # step: 512 + 24
-    for N, a, most in ((1, 0.4, 60), (2, 0.3, 10)):
+    # step: 512 + 24; (-1, 0.7) has no zero, and with balls from the
+    # Fourier slope bound alone made 512 sums, (0, 0.45) made 82
+    for N, a, most in ((1, 0.4, 60), (2, 0.3, 10), (-1, 0.7, 40),
+                       (0, 0.45, 40)):
         loose[0] = 0
         locate_zeros(N, a)
         assert loose[0] <= most, (N, a, loose[0])
