@@ -15,10 +15,10 @@ field of `EvalResult` names the one that served a call):
   (`exact`), rounded once to a float.
 - sigma < -3, otherwise: Hurwitz's Fourier series in floats (`fourier`),
   which has no head-sum cancellation for sigma < 0; its bound covers the
-  series tail and float rounding.  Below sigma = -21 the terms grow so
-  large that float rounding alone passes half the default target, and
-  Euler-Maclaurin serves instead, as `mpf-em` (float rounding is larger
-  still there).
+  series tail and float rounding.  Where the series needs more than
+  `MAX_CUTOFF` terms (targets of about 1e-15 next to sigma = -3), or its
+  float rounding alone passes half the target (below sigma = -21 at the
+  default), Euler-Maclaurin serves instead, as `float-em` or `mpf-em`.
 
 The returned value is always an ordinary float.  sigma must be finite;
 where a float Euler-Maclaurin head, integral or half term overflows, the
@@ -34,19 +34,19 @@ per k for the process).  It stays in pure Python: importing numpy costs
 more set-up time and memory than a scan.
 
 `Evaluator.sign(sigma)` returns the certified sign of zeta(sigma, a),
-which is all a zero scan uses.  Below sigma = 1 it first sums to
-`SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few terms for sigma
-< -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms instead of 20 on
-[-3, 1).  If that value v' exceeds its bound b' (truncation and rounding)
-by more than the target, then |zeta| > target and v' has the sign of
-zeta, which is also the sign of the full value, within target of zeta.
-Only the other points -- the few near a zero -- are evaluated in full,
-so a scan needs no guarded mpmath below sigma = -21 except next to a zero.
-On [-3, 1) the excess |v'| - b' - target also clears a ball [sigma,
-sigma + r] with |zeta| > target, whose sign later calls inside it take
-with no sum.  r comes from a bound on |zeta'|: Euler-Maclaurin's where
-(1 + sigma) ln(`SIGN_HEAD_TERMS` + a) >= 1 (every sigma >= -0.09, so all
-of N = -1 and N = 0's end next to sigma = 0), Hurwitz's series' below.
+which is all a zero scan uses.  It tries three rungs in turn:
+
+- a stored exclusion ball: on [-3, 1), a sigma inside the last ball
+  [sigma0, sigma0 + r] takes its sign with no sum;
+- a loose sum to `SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few
+  terms below sigma = -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms
+  instead of 20 on [-3, 1).  If its value v' exceeds its bound b'
+  (truncation and rounding) by more than the target, then |zeta| > target,
+  so v' has the sign of zeta and of the full value, at any target.  On
+  [-3, 1) the excess then stores the ball that `_ball_radius` gives;
+- the full value, at the few points left, those next to a zero.
+
+So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
 The grid signs of a 512-point scan on N = -1..2 make a median of 32, 38,
 13 and 15 sums (200 seeded a per strip).
 """
@@ -261,64 +261,62 @@ def _fourier_terms(s: float, pref: float, target: float) -> int:
     return max(1, math.ceil(root))
 
 
-def _exclusion_radius(sigma: float, margin: float) -> float:
+def _ball_radius(sigma: float, a: float, margin: float) -> float:
     """r >= 0 with zeta(., a) of one sign and |zeta| > |zeta(sigma, a)| -
-    margin on [sigma, sigma + r], any a, if -3 <= sigma < 0 < margin < |zeta|.
+    margin on [sigma, sigma + r], if -3 <= sigma < 1 and 0 < margin <
+    |zeta|: `Evaluator.sign`'s exclusion ball.
 
-    With s = 1 - sigma, zeta = pref * S as in `_fourier_plan`, and |S'| <=
-    sum (pi/2 + ln k) k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) + 1/(s-1)^2 +
-    1/(e s) (integral test), falling in s; pref rises with sigma, as psi(4)
-    < ln 2 pi.  So r1 from L1(s), then r from L1(s - r1), with pref L1
-    inflated by 1e-12 for rounding, keep pref(sigma) L1 r <= margin.
-    """
-    def slope(t):  # L1 at s = 1 + t
-        u = 1.0 / t
-        return 0.5 * math.pi * (1.0 + u) + u * u + 1.0 / (math.e * (1.0 + t))
+    Two bounds L(t) on |zeta'| over [sigma, sigma + t] serve, each singular
+    at its end sigma + d; r1 = min(margin/L(0), d/2), then r = min(r1,
+    margin/L(r1)), with L inflated by 1e-12 for rounding, keep L r <= margin.
 
-    t = -sigma  # s - 1, exactly
-    pref = (1.0 + 1e-12) * 2.0 * math.gamma(1.0 + t) / _TWO_PI ** (1.0 + t)
-    r = margin / (pref * slope(t))
-    if not 0.0 < r < t:  # the ball would reach the pole's side of s = 1
-        return 0.0
-    return min(r, margin / (pref * slope(t - r)))
+    Where (1 + sigma) ln q >= 1, with q = M + a and M = `SIGN_HEAD_TERMS`,
+    Euler-Maclaurin's serves, d = 1 - sigma (the pole).  With P1(x) = {x} -
+    1/2, for s > -1, zeta(s, a) = sum_(n<M) (n+a)^-s + q^(1-s)/(s-1) +
+    q^-s/2 - s int_M^oo P1 (x+a)^(-s-1), so zeta' = -sum ln(n+a) (n+a)^-s -
+    q^(1-s) (1 - (1-s) ln q)/(1-s)^2 - (ln q/2) q^-s - int P1 (x+a)^(-s-1)
+    + s int P1 ln(x+a) (x+a)^(-s-1).  |int_M^oo P1 f| <= f(M)/8 for f
+    positive and falling to 0 (pair t with 1 - t on each unit interval,
+    then telescope): both integrands are, the second as (1 + s) ln q >= 1
+    holds at sigma, so on the ball.  So with |s| < 1, |zeta'| <= L = |ln a|
+    a^-s + sum_(n=1..M-1) ln(n+a) (n+a)^-s + q^(1-s) |1 - (1-s) ln q|/(1-s)^2
+    + (ln q/2) q^-s + (1 + ln q) q^(-s-1)/8.  On [sigma, sigma + t], a^-s
+    and 1/(1-s)^2 peak at the right end, the other powers at sigma, and the
+    linear 1 - (1-s) ln q at an end.  A loose sum that certifies has
+    a^-sigma < 1e12 (rounding passes its target above), and s <= (1 +
+    sigma)/2 on the ball, so a^-s <= sqrt(1e12/a) stays a float.
 
-
-def _em_exclusion_radius(sigma: float, a: float, margin: float) -> float:
-    """r >= 0 with zeta(., a) of one sign and |zeta| > |zeta(sigma, a)| -
-    margin on [sigma, sigma + r], if sigma < 1, 0 < margin < |zeta| and
-    (1 + sigma) ln q >= 1, with q = M + a and M = `SIGN_HEAD_TERMS`.  A
-    loose sum that certifies has a^-sigma < 1e12 (rounding passes its
-    target above), and s <= (1 + sigma)/2 on the ball, so a^-s <=
-    sqrt(1e12/a) stays a float.
-
-    Euler-Maclaurin with P1(x) = {x} - 1/2 gives, for s > -1, zeta(s, a) =
-    sum_(n<M) (n+a)^-s + q^(1-s)/(s-1) + q^-s/2 - s int_M^oo P1 (x+a)^(-s-1),
-    so zeta' = -sum ln(n+a) (n+a)^-s - q^(1-s) (1 - (1-s) ln q)/(1-s)^2 -
-    (ln q/2) q^-s - int P1 (x+a)^(-s-1) + s int P1 ln(x+a) (x+a)^(-s-1).
-    |int_M^oo P1 f| <= f(M)/8 for f positive and falling to 0 (pair t with
-    1 - t on each unit interval, then telescope): both integrands are, the
-    second as (1 + s) ln q >= 1 holds at sigma, so on the ball.  So with
-    |s| < 1, |zeta'| <= L = |ln a| a^-s + sum_(n=1..M-1) ln(n+a) (n+a)^-s +
-    q^(1-s) |1 - (1-s) ln q|/(1-s)^2 + (ln q/2) q^-s + (1 + ln q)
-    q^(-s-1)/8.  On [sigma, hi], a^-s
-    and 1/(1-s)^2 peak at hi, the other powers at sigma, and the linear
-    1 - (1-s) ln q at an end.  r1 from L(sigma, sigma) capped at (1 -
-    sigma)/2, off the pole, then r from L(sigma, sigma + r1), with L
-    inflated by 1e-12 for rounding, keep L r <= margin.
+    Below, Hurwitz's series serves, d = -sigma (s = 1 - sigma reaching 1).
+    zeta = pref * S as in `_fourier_plan`, and |S'| <= sum (pi/2 + ln k)
+    k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) + 1/(s-1)^2 + 1/(e s) (integral
+    test), falling in s; pref rises with sigma, as psi(4) < ln 2 pi, so
+    L = pref(sigma) L1(1 + d - t).
     """
     q = SIGN_HEAD_TERMS + a
     ln_q = math.log(q)
-    d = 1.0 - sigma  # 1 - s at s = sigma
+    if (1.0 + sigma) * ln_q >= 1.0:
+        d = 1.0 - sigma  # 1 - s at s = sigma
 
-    def slope(t):  # L on [sigma, sigma + t]
-        e = d - t
-        return (1.0 + 1e-12) * (
-            -math.log(a) * a ** (-sigma - t)
-            + sum(math.log(n + a) * (n + a) ** -sigma
-                  for n in range(1, SIGN_HEAD_TERMS))
-            + q ** d * max(abs(1.0 - d * ln_q), abs(1.0 - e * ln_q)) / (e * e)
-            + 0.5 * ln_q * q ** -sigma + (1.0 + ln_q) * q ** (-sigma - 1.0)
-            / 8.0)
+        def slope(t):
+            e = d - t
+            return (1.0 + 1e-12) * (
+                -math.log(a) * a ** (-sigma - t)
+                + sum(math.log(n + a) * (n + a) ** -sigma
+                      for n in range(1, SIGN_HEAD_TERMS))
+                + q ** d * max(abs(1.0 - d * ln_q), abs(1.0 - e * ln_q))
+                / (e * e)
+                + 0.5 * ln_q * q ** -sigma + (1.0 + ln_q) * q ** (-sigma - 1.0)
+                / 8.0)
+    else:
+        d = -sigma  # s - 1 at s = 1 - sigma, exactly
+        pref = ((1.0 + 1e-12) * 2.0 * math.gamma(1.0 + d)
+                / _TWO_PI ** (1.0 + d))
+
+        def slope(t):
+            e = d - t  # s - 1 at s = 1 - sigma - t
+            u = 1.0 / e
+            return pref * (0.5 * math.pi * (1.0 + u) + u * u
+                           + 1.0 / (math.e * (1.0 + e)))
 
     r = min(margin / slope(0.0), 0.5 * d)
     return max(0.0, min(r, margin / slope(r)))
@@ -357,17 +355,11 @@ class Evaluator:
                     1 - int(sigma), Fraction(a))
                 return float(val), 0.0, "exact"
             plan = self._fourier_plan(sigma, target)
-            # where rounding alone passes target/2, Euler-Maclaurin serves
-            if plan is not None and plan[3] <= target / 2.0:
+            # where the terms pass MAX_CUTOFF or rounding alone passes
+            # target/2, Euler-Maclaurin serves
+            if (plan is not None and plan[0] <= MAX_CUTOFF
+                    and plan[3] <= target / 2.0):
                 n, pref, tail, rounding = plan
-                if n > MAX_CUTOFF:
-                    s = 1.0 - sigma
-                    tail = pref * MAX_CUTOFF ** (1.0 - s) / (s - 1.0)
-                    raise AccuracyError(
-                        f"Fourier series needs {n} terms, over the cap "
-                        f"{MAX_CUTOFF}, at sigma={sigma}, a={a}",
-                        achieved_bound=tail + rounding,
-                    )
                 return (pref * self._fourier_sum(sigma, n), tail + rounding,
                         "fourier")
         M = _default_cutoff(sigma)
@@ -452,45 +444,37 @@ class Evaluator:
     def sign(self, sigma: float) -> int:
         """Certified sign (-1, 0 or 1) of zeta(sigma, a).
 
-        Below sigma = 1, with a target under `SIGN_SCAN_TARGET`, a cheap sum
-        to `SIGN_SCAN_TARGET` comes first: the Fourier series with a few
-        terms for sigma < -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head
-        terms on [-3, 1).  If that value v' exceeds its bound b' (truncation
-        and rounding) by more than the target, then |zeta| > target and
-        sign(v') is the sign of zeta, and of any value within target of it.
-        For -3 <= sigma < 1 the excess stores a ball with |zeta| > target,
-        whose sign later calls inside it return: its radius is
-        `_em_exclusion_radius` where (1 + sigma) ln(`SIGN_HEAD_TERMS` + a)
-        >= 1, else `_exclusion_radius`.
-        Otherwise the sign is that of self(sigma)[0].  So `sign` raises only
-        where self(sigma) raises and no cheap sum or ball certifies.
+        Below sigma = 1 a loose sum to `SIGN_SCAN_TARGET` comes first: the
+        Fourier series with a few terms for sigma < -3, Euler-Maclaurin with
+        `SIGN_HEAD_TERMS` head terms on [-3, 1).  If that value v' exceeds
+        its bound b' (truncation and rounding) by more than the target, then
+        |zeta| > target and sign(v') is the sign of zeta, and of any value
+        within target of it.  On [-3, 1) the excess also stores the ball
+        [sigma, sigma + `_ball_radius`] with |zeta| > target, whose sign
+        later calls inside it return with no sum.  Otherwise the sign is
+        that of self(sigma)[0].  So `sign` raises only where self(sigma)
+        raises and no loose sum or ball certifies.
         """
         sigma = float(sigma)
         target = self.params.target_abs_error
-        if target < SIGN_SCAN_TARGET and sigma < 1.0:
-            if sigma < FOURIER_CROSSOVER:
-                plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
-                if plan is not None:
-                    n, pref, tail, rounding = plan
-                    val = pref * self._fourier_sum(sigma, n)
-                    if abs(val) - (tail + rounding) > target:
-                        return 1 if val > 0.0 else -1
-            else:
-                if 0.0 <= sigma - self._ball[0] <= self._ball[1]:
-                    return self._ball[2]
-                val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
-                                            SIGN_SCAN_TARGET)
-                margin = abs(val) - bound - target
-                if margin > 0.0:
-                    sgn = 1 if val > 0.0 else -1
-                    margin -= 2.0 * _EPS * abs(val)  # its rounding
-                    ln_q = self._heads[SIGN_HEAD_TERMS][2]  # from _em_float
-                    if (1.0 + sigma) * ln_q >= 1.0:
-                        r = _em_exclusion_radius(sigma, self.a, margin)
-                    else:
-                        r = _exclusion_radius(sigma, margin)
-                    self._ball = (sigma, r, sgn)
-                    return sgn
+        if sigma < FOURIER_CROSSOVER:
+            plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
+            if plan is not None:
+                n, pref, tail, rounding = plan
+                val = pref * self._fourier_sum(sigma, n)
+                if abs(val) - (tail + rounding) > target:
+                    return 1 if val > 0.0 else -1
+        elif sigma < 1.0:
+            if 0.0 <= sigma - self._ball[0] <= self._ball[1]:
+                return self._ball[2]
+            val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
+                                        SIGN_SCAN_TARGET)
+            margin = abs(val) - bound - target
+            if margin > 0.0:
+                sgn = 1 if val > 0.0 else -1
+                margin -= 2.0 * _EPS * abs(val)  # its rounding
+                self._ball = (sigma, _ball_radius(sigma, self.a, margin), sgn)
+                return sgn
         val = self(sigma)[0]
         return (val > 0.0) - (val < 0.0)
 
@@ -542,8 +526,9 @@ def hurwitz_zeta_detailed(sigma: float, a: float,
     """Evaluate zeta(sigma, a) with an explicit achieved error bound.
 
     sigma < `FOURIER_CROSSOVER` is served exactly at integers and by the
-    Fourier series elsewhere; Euler-Maclaurin uses the head length
-    max(20, ceil(|sigma|) + 10) and grows the correction order until the
+    Fourier series elsewhere, where its terms and rounding allow;
+    Euler-Maclaurin serves every other point, with the head length
+    max(20, ceil(|sigma|) + 10), growing the correction order until the
     first-omitted-term bound clears the target.
     """
     return EvalResult(*Evaluator(a, params)(sigma))
@@ -594,11 +579,12 @@ def gamma_sign(sigma: float) -> int:
 
 
 @lru_cache(maxsize=256)
-def _laurent_coeffs(a: float, nmax: int = RATIONAL_CAP):
-    """Float coefficients B_n(1-a)/n! of the expansion of e^((1-a)x)/(e^x-1)."""
+def _laurent_coeffs(a: float):
+    """Float coefficients B_n(1-a)/n!, n <= `RATIONAL_CAP`, of the
+    expansion of e^((1-a)x)/(e^x-1)."""
     out = []
     fact = 1.0
-    for n in range(nmax + 1):
+    for n in range(RATIONAL_CAP + 1):
         if n > 0:
             fact *= n
         out.append(eval_poly(bernoulli_polynomial(n), 1.0 - a) / fact)

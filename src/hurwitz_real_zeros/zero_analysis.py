@@ -230,7 +230,7 @@ def uniqueness_check(
 
 
 def polynomial_roots_in_unit(m: int):
-    """Roots of B_m(x) in (0, 1] (for even m within `even_roots(m)`'s
+    """Roots of B_m(x) in [0, 1] (for even m within `even_roots(m)`'s
     `residual_bound`, else exact)."""
     if m < 0:
         raise ValueError("index must be nonnegative")
@@ -241,7 +241,7 @@ def polynomial_roots_in_unit(m: int):
     if m % 2 == 0:
         pair = even_roots(m)
         return (pair.b_minus, pair.b_plus)
-    return (0.5, 1.0)
+    return (0.0, 0.5, 1.0)
 
 
 def _check_exclusion_delta(delta: float) -> None:

@@ -23,8 +23,7 @@ from hurwitz_real_zeros.hurwitz import (
     StripError,
     SIGN_HEAD_TERMS,
     SMALL_X_THRESHOLD,
-    _em_exclusion_radius,
-    _exclusion_radius,
+    _ball_radius,
     _integrand_G_direct,
     check_shift,
     gamma_real,
@@ -274,10 +273,16 @@ def test_continuity_across_crossover():
 
 
 def test_fourier_term_cap():
-    with pytest.raises(AccuracyError) as exc:
-        # 16650 terms at this target, over the cap
-        hurwitz_zeta(-3.01, 0.3, EvalParams(target_abs_error=1e-15))
-    assert exc.value.achieved_bound > 1e-15
+    # the Fourier series needs 16650 and 17244 terms at this target, over
+    # MAX_CUTOFF, so Euler-Maclaurin serves (float rounding passes the
+    # target, so in guarded mpmath).  The value is checked against mpmath,
+    # not against the reported bound, which leaves out mpf-em's final
+    # rounding to a float
+    target = 1e-15
+    for sigma in (-3.01, -3.0001):
+        result = hurwitz_zeta_detailed(sigma, 0.3, EvalParams(target))
+        assert result.path == "mpf-em"
+        assert abs(result.value - _mp_zeta(sigma, 0.3)) <= target, sigma
 
 
 def test_fourier_term_count_overflow_is_accuracy_error():
@@ -477,19 +482,16 @@ def test_signs_match_many_random(sigmas, a):
 
 
 def test_signs_raise_where_many_raises():
-    # the full call fails at 1e-15 (more Fourier terms than the cap near
-    # sigma = -3) and at 1e-60 (no float sum reaches it), from the point
-    # named on; the cheap sums still certify every sign
-    for target, sigmas, first in (
-            (1e-15, [-7.5, -5.0, -3.01, -3.5], -3.01),
-            (1e-60, [-5.0, -8.0, -7.5, 0.5, -2.5], -7.5)):
-        params = EvalParams(target_abs_error=target)
-        ev = Evaluator(0.3, params)
-        with pytest.raises(AccuracyError, match=f"sigma={first},"):
-            for sigma in sigmas:
-                ev(sigma)
-        assert _signs(sigmas, 0.3, params) == [
-            (z > 0.0) - (z < 0.0) for z in (_mp_zeta(s, 0.3) for s in sigmas)]
+    # the full call fails at 1e-60 (no float sum reaches it), from the
+    # point named on; the loose sums still certify every sign
+    sigmas = [-5.0, -8.0, -7.5, 0.5, -2.5]
+    params = EvalParams(target_abs_error=1e-60)
+    ev = Evaluator(0.3, params)
+    with pytest.raises(AccuracyError, match="sigma=-7.5,"):
+        for sigma in sigmas:
+            ev(sigma)
+    assert _signs(sigmas, 0.3, params) == [
+        (z > 0.0) - (z < 0.0) for z in (_mp_zeta(s, 0.3) for s in sigmas)]
     _assert_signs_match_scalar([-2.5, math.nan, -1e6], 0.3)
     _assert_signs_match_scalar([-7.5, -1e6, math.nan], 0.3)
     _assert_signs_match_scalar([-7.5, 1.0], 0.3)
@@ -603,11 +605,14 @@ def test_em_exclusion_balls_hold_against_mpmath():
 
 def test_exclusion_slope_bound_covers_the_derivative():
     # the helper's pref * L1(s), read back from a radius at a tiny margin,
-    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|
+    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|;
+    # L1 serves for every a at s >= 1.3, Euler-Maclaurin's bound nearer 1
     rng = random.Random(77)
-    for s in [1.001, 4.0] + [rng.uniform(1.001, 4.0) for _ in range(30)]:
+    for s in [1.3, 4.0] + [rng.uniform(1.3, 4.0) for _ in range(30)]:
         sigma, margin = 1.0 - s, 1e-9
-        radius = _exclusion_radius(sigma, margin)
+        a = rng.uniform(0.0, 1.0) or 1.0
+        assert not _uses_em_ball(sigma, a)
+        radius = _ball_radius(sigma, a, margin)
         with mpmath.workdps(30):
             s_mp = 1 - mpmath.mpf(sigma)
             pref = 2 * mpmath.gamma(s_mp) / (2 * mpmath.pi) ** s_mp
@@ -625,9 +630,13 @@ def test_prefactor_rises_with_sigma_on_float_em_strips():
 
 @pytest.mark.parametrize("sigma", [-5e-324, -1e-17, -3.0])
 def test_exclusion_radius_at_strip_ends_is_finite(sigma):
-    for margin in (5e-324, 1e-10, 1.0):
-        radius = _exclusion_radius(sigma, margin)
-        assert 0.0 <= radius < math.inf
+    # the ends of N = 0: Euler-Maclaurin's bound serves next to sigma = 0,
+    # the Fourier series' at -3
+    for a in (1e-300, 0.3, 1.0):
+        assert _uses_em_ball(sigma, a) == (sigma > -3.0)
+        for margin in (5e-324, 1e-10, 1.0):
+            radius = _ball_radius(sigma, a, margin)
+            assert 0.0 <= radius < math.inf
 
 
 def test_em_exclusion_slope_bound_covers_the_derivative():
@@ -641,7 +650,7 @@ def test_em_exclusion_slope_bound_covers_the_derivative():
                             rng.uniform(0.95, 1.0), lowest))
         half = abs(_mp_zeta(sigma, a)) / 2.0
         for margin in (1e-9, half):
-            radius = _em_exclusion_radius(sigma, a, margin)
+            radius = _ball_radius(sigma, a, margin)
             assert radius > 0.0
             with mpmath.workdps(30):
                 slope = max(abs(mpmath.zeta(
@@ -652,9 +661,12 @@ def test_em_exclusion_slope_bound_covers_the_derivative():
 
 @pytest.mark.parametrize("a", [1e-300, 1e-6, 0.3, 1.0])
 def test_em_exclusion_radius_at_range_ends_is_finite(a):
-    for sigma in (1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0, 0.99):
+    # both sides of the rule's threshold, and next to the pole
+    lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
+    for sigma in (lowest - 1e-9, lowest + 1e-9, 0.99):
+        assert _uses_em_ball(sigma, a) == (sigma > lowest)
         for margin in (5e-324, 1.0):
-            radius = _em_exclusion_radius(sigma, a, margin)
+            radius = _ball_radius(sigma, a, margin)
             assert 0.0 <= radius < math.inf
 
 

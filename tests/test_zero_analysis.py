@@ -280,6 +280,26 @@ def test_certified_sign_bisection_matches_full_value_bisection():
     assert cells >= 20
 
 
+def test_loose_sums_serve_at_loose_targets(monkeypatch):
+    # a loose sum that certifies gives |zeta| > target at any target, so a
+    # scan at 1e-3 stores balls too: (-1, 0.7) has no zero and makes no
+    # full call, where one per grid point was made before
+    params = EvalParams(1e-3)
+    assert locate_zeros(1, 0.4, params=params) == [
+        zero_analysis.LocatedZero(*z)
+        for z in _full_value_zeros(1, 0.4, params)]
+    full = [0]
+    call = zero_analysis.Evaluator.__call__
+
+    def counted(self, sigma):
+        full[0] += 1
+        return call(self, sigma)
+
+    monkeypatch.setattr(zero_analysis.Evaluator, "__call__", counted)
+    assert locate_zeros(-1, 0.7, params=params) == []
+    assert full[0] == 0
+
+
 def test_scan_imports_neither_numpy_nor_scipy():
     # the pure-Python grid keeps import time and peak memory small
     src = Path(zero_analysis.__file__).resolve().parents[1]
@@ -432,6 +452,16 @@ def test_verify_skips_near_roots():
     case = verify_case(0, 0.5)
     assert case.agrees is None
     assert "skipped" in case.note
+
+
+def test_verify_skips_shifts_next_to_zero():
+    # B_(N+1)(0) = 0 for odd N + 1 >= 3, so the zero of an even N >= 2 sits
+    # next to -N as a -> 0, inside the scan's end margin; those cells fall
+    # in the root band around 0
+    for N, a in ((2, 1e-12), (2, 1e-10), (4, 1e-15), (6, 1e-12)):
+        case = verify_case(N, a)
+        assert case.predicted == YES and case.agrees is None, (N, a)
+        assert case.note == "skipped: a within delta of a polynomial root"
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])
