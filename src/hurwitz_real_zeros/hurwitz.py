@@ -47,8 +47,16 @@ which is all a zero scan uses.  It tries three rungs in turn:
 - the full value, at the few points left, those next to a zero.
 
 So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
-The grid signs of a 512-point scan on N = -1..2 make a median of 32, 38,
-13 and 15 sums (200 seeded a per strip).
+The first two rungs are `_loose_sign`, which returns None where neither
+certifies.  A certified sign is the full value's, so a caller may skip the
+points a ball covers, or go straight to the full value, without changing a
+sign.  `locate_zeros` does both.  On N = -1..2 (200 a per strip from
+`random.Random(100)`) its walk over a 512-point grid calls `sign` a median
+of 29.5, 38, 7 and 16 times, once per loose sum, and its bisections stop
+trying loose sums at their first uncertified step: 6.3, 3.5, 2.1 and 2.9
+per cell with a zero where one per step made 24, for 2.7, 2.8, 2.1 and 3.1
+more full calls.  On N = 3..7 (40 a per strip) a bisection tries 1.0-1.4
+loose sums where it tried 24.
 """
 
 from __future__ import annotations
@@ -450,33 +458,47 @@ class Evaluator:
         its bound b' (truncation and rounding) by more than the target, then
         |zeta| > target and sign(v') is the sign of zeta, and of any value
         within target of it.  On [-3, 1) the excess also stores the ball
-        [sigma, sigma + `_ball_radius`] with |zeta| > target, whose sign
-        later calls inside it return with no sum.  Otherwise the sign is
-        that of self(sigma)[0].  So `sign` raises only where self(sigma)
-        raises and no loose sum or ball certifies.
+        [sigma, sigma + `_ball_radius`] with |zeta| > target, as
+        `_ball = (sigma, r, sign)`; later calls inside it return its sign
+        with no sum.  These rungs are `_loose_sign`.  Where no rung
+        certifies, the sign is that of self(sigma)[0].  So `sign` raises
+        only where self(sigma) raises and no loose sum or ball certifies,
+        and a caller that skips a point inside `_ball`, or goes straight to
+        self(sigma), changes the cost and never the sign.
         """
         sigma = float(sigma)
-        target = self.params.target_abs_error
+        sgn = self._loose_sign(sigma)
+        if sgn is not None:
+            return sgn
+        val = self(sigma)[0]
+        return (val > 0.0) - (val < 0.0)
+
+    def _loose_sign(self, sigma: float):
+        """`sign`'s ball and loose-sum rungs: the sign of zeta(sigma, a)
+        where one of them certifies it, else None."""
         if sigma < FOURIER_CROSSOVER:
             plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
             if plan is not None:
                 n, pref, tail, rounding = plan
                 val = pref * self._fourier_sum(sigma, n)
-                if abs(val) - (tail + rounding) > target:
+                if abs(val) - (tail + rounding) > self.params.target_abs_error:
                     return 1 if val > 0.0 else -1
         elif sigma < 1.0:
-            if 0.0 <= sigma - self._ball[0] <= self._ball[1]:
+            if self._in_ball(sigma):
                 return self._ball[2]
             val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
                                         SIGN_SCAN_TARGET)
-            margin = abs(val) - bound - target
+            margin = abs(val) - bound - self.params.target_abs_error
             if margin > 0.0:
                 sgn = 1 if val > 0.0 else -1
                 margin -= 2.0 * _EPS * abs(val)  # its rounding
                 self._ball = (sigma, _ball_radius(sigma, self.a, margin), sgn)
                 return sgn
-        val = self(sigma)[0]
-        return (val > 0.0) - (val < 0.0)
+        return None
+
+    def _in_ball(self, sigma: float) -> bool:
+        """Whether the stored ball [sigma0, sigma0 + r] covers sigma."""
+        return 0.0 <= sigma - self._ball[0] <= self._ball[1]
 
     def _fourier_plan(self, sigma: float, target: float):
         """Term count of Hurwitz's formula for sigma < -3 (the rounding

@@ -11,9 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hurwitz_real_zeros import zero_analysis
-from hurwitz_real_zeros.bernoulli import IndeterminateSign, even_roots
+from hurwitz_real_zeros.bernoulli import (
+    IndeterminateSign,
+    bisect_sign,
+    even_roots,
+)
 from hurwitz_real_zeros.hurwitz import (
     SIGN_HEAD_TERMS,
+    AccuracyError,
     EvalParams,
     gamma_sign,
     hurwitz_zeta,
@@ -173,8 +178,9 @@ def test_non_finite_refine_tol_rejected(tol):
 
 
 def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
-    made, scalar_calls = [], [0]
+    made, scalar_calls, log = [], [0], []
     scalar = zero_analysis.hurwitz_zeta
+    bisect = zero_analysis.bisect_sign
 
     class CountedEvaluator(zero_analysis.Evaluator):
         def __init__(self, *args):
@@ -186,20 +192,45 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
             self.signs += 1
             return super().sign(sigma)
 
+        def __call__(self, sigma):
+            log.append("full")
+            return super().__call__(sigma)
+
+        def _em_float(self, sigma, M, target):
+            if M == SIGN_HEAD_TERMS:
+                log.append("loose")
+            return super()._em_float(sigma, M, target)
+
     def count_scalar(*args):
         scalar_calls[0] += 1
         return scalar(*args)
 
+    def logged_bisect(*args):
+        log.append("bisect")
+        return bisect(*args)
+
     monkeypatch.setattr(zero_analysis, "Evaluator", CountedEvaluator)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
-    # one evaluator per scan; bisection steps reuse its signs, and each
-    # located zero makes one scalar call for its residual
+    monkeypatch.setattr(zero_analysis, "bisect_sign", logged_bisect)
+    # one evaluator per scan, and each located zero makes one scalar call
+    # for its residual.  The walk calls sign at the 24 grid points that no
+    # ball from an earlier one covers; bisection takes its steps from the
+    # evaluator's other rungs
     assert len(locate_zeros(1, 0.4, 512)) == 1
-    # 24 halvings take the grid step, 1.96e-3, to a half-width <= 1e-10
-    assert [ev.signs for ev in made] == [512 + 24] and scalar_calls[0] == 1
+    assert [ev.signs for ev in made] == [24] and scalar_calls[0] == 1
     assert uniqueness_check(2, 0.3) == 1
-    assert [ev.signs for ev in made] == [512 + 24, 510]
+    assert [ev.signs for ev in made] == [24, 510]
     assert scalar_calls[0] == 1
+    # no loose sum runs in a bisection after its first step that no ball
+    # or loose sum certifies (these bisections make 1, 3, 1 and 5 of 24)
+    for N, a in ((1, 0.4), (0, 0.1), (2, 0.6), (-1, 0.3)):
+        log.clear()
+        assert locate_zeros(N, a), (N, a)
+        steps = " ".join(log).split("bisect")[1:]
+        for bisection in steps:
+            words = bisection.split()
+            assert "full" in words, (N, a)
+            assert "loose" not in words[words.index("full"):], (N, a)
 
 
 def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
@@ -278,6 +309,59 @@ def test_certified_sign_bisection_matches_full_value_bisection():
             assert zeros == _full_value_zeros(N, a), (N, a)
             cells += bool(zeros)
     assert cells >= 20
+
+
+def _reference_scan(N, a, grid_points, params):
+    """locate_zeros without the walk or the bisection rule: `sign` at
+    every grid point, `bisect_sign` on `sign`, the `hurwitz_zeta`
+    residual."""
+    tol = params.target_abs_error
+    grid = scan_grid(N, grid_points, tol)
+    ev = zero_analysis.Evaluator(a, params)
+    signs = [ev.sign(x) for x in grid]
+    zeros = []
+    for lo, hi, slo, shi in zip(grid, grid[1:], signs, signs[1:]):
+        if shi == 0:
+            zeros.append(zero_analysis.LocatedZero(hi, 0.0, 0.0))
+        elif slo != 0 and shi != slo:
+            sigma, h = bisect_sign(ev.sign, lo, hi, slo, tol)
+            zeros.append(zero_analysis.LocatedZero(
+                sigma, h, abs(hurwitz_zeta(sigma, a, params))))
+    return zeros
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except AccuracyError as exc:
+        return f"AccuracyError: {exc}"
+
+
+def test_walk_and_bisection_rule_change_no_zero():
+    # a certified sign is the full value's, so skipping the grid points in
+    # a ball and the loose sums after a bisection's first uncertified step
+    # changes the cost, and the triples or the first error only where a
+    # full value raises at a step a loose sum would have certified, which
+    # no cell here shows, on either side of the mpmath failure at N = 45
+    rng = random.Random(16)
+    shifts = [rng.uniform(0.0, 1.0) or 1.0 for _ in range(3)]
+    cells = 0
+    for a in [*shifts, 1.0, 0.5, 0.01, 1e-6, 1e-300]:
+        for N in range(-1, 5):
+            for target in (1e-3, 1e-10, 1e-13):
+                for grid_points in (16, 64, 512):
+                    args = (N, a, grid_points, EvalParams(target))
+                    got = _outcome(locate_zeros, *args)
+                    assert got == _outcome(_reference_scan, *args), args
+                    cells += isinstance(got, list) and len(got) > 0
+    assert cells >= 140
+    for N, a in ((8, 0.15), (8, 0.6), (30, 0.15), (30, 0.6), (44, 0.15),
+                 (44, 0.6), (45, 0.3), (46, 0.15), (46, 0.6)):
+        expected = _outcome(_reference_scan, N, a, 512, EvalParams())
+        # zeros up to N = 44, the mpmath failure from N = 45 on
+        assert isinstance(expected, str) == (N >= 45), (N, a)
+        assert expected, (N, a)
+        assert _outcome(locate_zeros, N, a, 512, EvalParams()) == expected
 
 
 def test_loose_sums_serve_at_loose_targets(monkeypatch):
