@@ -52,17 +52,22 @@ certifies.  A certified sign is the full value's, so a caller may skip the
 points a ball covers, or go straight to the full value, without changing a
 sign.  `locate_zeros` does both.  On N = -1..2 (200 a per strip from
 `random.Random(100)`) its walk over a 512-point grid calls `sign` a median
-of 29.5, 38, 7 and 16 times, once per loose sum, and its bisections stop
-trying loose sums at their first uncertified step: 6.3, 3.5, 2.1 and 2.9
-per cell with a zero where one per step made 24, for 2.7, 2.8, 2.1 and 3.1
-more full calls.  On N = 3..7 (40 a per strip) a bisection tries 1.0-1.4
-loose sums where it tried 24.
+of 13, 12, 7 and 16 times, once per loose sum, and its bisections stop
+trying loose sums at their first uncertified step: 5.3, 3.0, 2.1 and 2.9
+per cell with a zero where one per step made 24.  On N = 3..7 (40 a per
+strip) a bisection tries 1.0-1.4 loose sums where it tried 24.  On (-1,
+1) a ball is second order: the slope at sigma is taken with its sign from
+the loose sum's own powers, and only its change across the ball is
+bounded, so balls reach a zero's neighbourhood in few steps.  First-order
+balls (|zeta'| bounded by the sizes of its terms, 2.5-8 times |zeta'|)
+made a median of 29.5 and 38 walk signs on N = -1 and 0.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,6 +100,8 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+#: 2 zeta(5)/(2 pi)^5, a bound on |B5~(x)|/5! (periodic Bernoulli B_5).
+_B5_BOUND = 2.0 * 1.0369277551433699 / (2.0 * math.pi) ** 5
 _TWO_PI = 2.0 * math.pi
 
 #: Adaptive calls below this sigma leave Euler-Maclaurin.  Against
@@ -269,73 +276,55 @@ def _fourier_terms(s: float, pref: float, target: float) -> int:
     return max(1, math.ceil(root))
 
 
-def _ball_radius(sigma: float, a: float, margin: float) -> float:
-    """r >= 0 with zeta(., a) of one sign and |zeta| > |zeta(sigma, a)| -
-    margin on [sigma, sigma + r], if -3 <= sigma < 1 and 0 < margin <
-    |zeta|: `Evaluator.sign`'s exclusion ball.
-
-    Two bounds L(t) on |zeta'| over [sigma, sigma + t] serve, each singular
-    at its end sigma + d; r1 = min(margin/L(0), d/2), then r = min(r1,
-    margin/L(r1)), with L inflated by 1e-12 for rounding, keep L r <= margin.
-
-    Where (1 + sigma) ln q >= 1, with q = M + a and M = `SIGN_HEAD_TERMS`,
-    Euler-Maclaurin's serves, d = 1 - sigma (the pole).  With P1(x) = {x} -
-    1/2, for s > -1, zeta(s, a) = sum_(n<M) (n+a)^-s + q^(1-s)/(s-1) +
-    q^-s/2 - s int_M^oo P1 (x+a)^(-s-1), so zeta' = -sum ln(n+a) (n+a)^-s -
-    q^(1-s) (1 - (1-s) ln q)/(1-s)^2 - (ln q/2) q^-s - int P1 (x+a)^(-s-1)
-    + s int P1 ln(x+a) (x+a)^(-s-1).  |int_M^oo P1 f| <= f(M)/8 for f
-    positive and falling to 0 (pair t with 1 - t on each unit interval,
-    then telescope): both integrands are, the second as (1 + s) ln q >= 1
-    holds at sigma, so on the ball.  So with |s| < 1, |zeta'| <= L = |ln a|
-    a^-s + sum_(n=1..M-1) ln(n+a) (n+a)^-s + q^(1-s) |1 - (1-s) ln q|/(1-s)^2
-    + (ln q/2) q^-s + (1 + ln q) q^(-s-1)/8.  On [sigma, sigma + t], a^-s
-    and 1/(1-s)^2 peak at the right end, the other powers at sigma, and the
-    linear 1 - (1-s) ln q at an end.  A loose sum that certifies has
-    a^-sigma < 1e12 (rounding passes its target above), and s <= (1 +
-    sigma)/2 on the ball, so a^-s <= sqrt(1e12/a) stays a float.
-
-    Below, Hurwitz's series serves, d = -sigma (s = 1 - sigma reaching 1).
-    zeta = pref * S as in `_fourier_plan`, and |S'| <= sum (pi/2 + ln k)
-    k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) + 1/(s-1)^2 + 1/(e s) (integral
-    test), falling in s; pref rises with sigma, as psi(4) < ln 2 pi, so
-    L = pref(sigma) L1(1 + d - t).
+def _fourier_ball_radius(sigma: float, margin: float) -> float:
+    """r >= 0 with |zeta(y, a) - zeta(sigma, a)| <= margin for y in [sigma,
+    sigma + r], any a, if -3 <= sigma < 0: the slope bound of Hurwitz's
+    series.  zeta = pref * S as in `Evaluator._fourier_plan`, and |S'| <=
+    sum (pi/2 + ln k) k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) + 1/(s-1)^2 +
+    1/(e s) (integral test), falling in s; pref rises with sigma, as psi(4)
+    < ln 2 pi, so L(t) = pref(sigma) L1(1 + d - t), d = -sigma (s = 1 -
+    sigma reaching 1), bounds |zeta'| on [sigma, sigma + t], inflated by
+    1e-12 for rounding.  r1 = min(margin/L(0), d/2), then r = min(r1,
+    margin/L(r1)) keeps L r <= margin.
     """
-    q = SIGN_HEAD_TERMS + a
-    ln_q = math.log(q)
-    if (1.0 + sigma) * ln_q >= 1.0:
-        d = 1.0 - sigma  # 1 - s at s = sigma
+    d = -sigma  # s - 1 at s = 1 - sigma, exactly
+    pref = (1.0 + 1e-12) * 2.0 * math.gamma(1.0 + d) / _TWO_PI ** (1.0 + d)
 
-        def slope(t):
-            e = d - t
-            return (1.0 + 1e-12) * (
-                -math.log(a) * a ** (-sigma - t)
-                + sum(math.log(n + a) * (n + a) ** -sigma
-                      for n in range(1, SIGN_HEAD_TERMS))
-                + q ** d * max(abs(1.0 - d * ln_q), abs(1.0 - e * ln_q))
-                / (e * e)
-                + 0.5 * ln_q * q ** -sigma + (1.0 + ln_q) * q ** (-sigma - 1.0)
-                / 8.0)
-    else:
-        d = -sigma  # s - 1 at s = 1 - sigma, exactly
-        pref = ((1.0 + 1e-12) * 2.0 * math.gamma(1.0 + d)
-                / _TWO_PI ** (1.0 + d))
-
-        def slope(t):
-            e = d - t  # s - 1 at s = 1 - sigma - t
-            u = 1.0 / e
-            return pref * (0.5 * math.pi * (1.0 + u) + u * u
-                           + 1.0 / (math.e * (1.0 + e)))
+    def slope(t):
+        e = d - t  # s - 1 at s = 1 - sigma - t
+        u = 1.0 / e
+        return pref * (0.5 * math.pi * (1.0 + u) + u * u
+                       + 1.0 / (math.e * (1.0 + e)))
 
     r = min(margin / slope(0.0), 0.5 * d)
     return max(0.0, min(r, margin / slope(r)))
+
+
+def _em_slope_consts(a: float):
+    """The per-a factors of `Evaluator._ball_radius`'s Euler-Maclaurin
+    bound: ln q, ln(n + a) for n < M, ln^2(n + a) with n = 0's left out,
+    a^(-1/2), the factors of q^-sigma in its correction terms' slopes, in
+    rho and in P2."""
+    q = SIGN_HEAD_TERMS + a
+    ln_q = math.log(q)
+    logs = [math.log(n + a) for n in range(SIGN_HEAD_TERMS)]
+    q3 = q * q * q
+    return (
+        ln_q, logs, [0.0] + [x * x for x in logs[1:]], 1.0 / math.sqrt(a),
+        1.0 / (12.0 * q), 1.0 / (720.0 * q3),
+        (1.0 + 1e-12) * _B5_BOUND
+        * (274.0 / 3.0 + 120.0 * (ln_q / 3.0 + 1.0 / 9.0)) / (q3 * q),
+        0.5 * ln_q * ln_q + ln_q * (2.0 + ln_q) / (12.0 * q)
+        + (12.0 + 22.0 * ln_q + 6.0 * ln_q * ln_q) / (720.0 * q3))
 
 
 class Evaluator:
     """zeta(., a) under one `EvalParams`.
 
     Work that does not depend on sigma is done once per instance: the head
-    bases n + a for each cutoff, and the Fourier angles 2 pi (k a mod 1),
-    extended to the most terms any sigma has needed.  Calling it at sigma
+    bases n + a for each cutoff, the Fourier angles 2 pi (k a mod 1),
+    extended to the most terms any sigma has needed, and the logarithms of
+    the exclusion balls' slope bound.  Calling it at sigma
     returns (value, error_bound, path), the same bit for bit as a fresh
     instance would; float Euler-Maclaurin's own bound alone decides whether
     a point moves to `mpf-em`.  `sign` returns the certified sign of zeta:
@@ -348,6 +337,7 @@ class Evaluator:
         self._heads = {}  # M: (bases n + a, q = M + a, ln q, sqrt(2) pi q)
         self._angles = [0.0]  # index k; k = 0 is never summed
         self._ball = (0.0, -1.0, 0)  # sign's last (sigma, r, sign); empty
+        self._em_slopes = None  # `_em_slope_consts(a)`, on first use
 
     def __call__(self, sigma: float):
         a = self.a
@@ -371,7 +361,7 @@ class Evaluator:
                 return (pref * self._fourier_sum(sigma, n), tail + rounding,
                         "fourier")
         M = _default_cutoff(sigma)
-        val, bound = self._em_float(sigma, M, target)
+        val, bound, _ = self._em_float(sigma, M, target)
         path = "float-em"
         if bound > target:  # rounding left truncation too little room
             val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
@@ -385,11 +375,12 @@ class Evaluator:
         return val, bound, path
 
     def _em_float(self, sigma: float, M: int, target: float):
-        """Euler-Maclaurin in floats with M head terms: (value, bound), the
-        bound covering truncation and float rounding.  The bound is
-        infinite when rounding alone reaches `target`; a head, integral or
-        half term that overflows a float raises `AccuracyError` with an
-        infinite bound."""
+        """Euler-Maclaurin in floats with M head terms: (value, bound,
+        powers), the bound covering truncation and float rounding, powers
+        being ([(n + a)^-sigma for n < M], q^(1-sigma), q^-sigma) with q =
+        M + a, which `_ball_radius` reuses.  The bound is infinite when
+        rounding alone reaches `target`; a head, integral or half term that
+        overflows a float raises `AccuracyError` with an infinite bound."""
         head_plan = self._heads.get(M)
         if head_plan is None:
             a = self.a
@@ -400,15 +391,18 @@ class Evaluator:
         bases, q, ln_q, reach = head_plan
         x = 1.0 - sigma
         try:
-            head = math.fsum([b ** -sigma for b in bases])
-            integral = q ** x / (sigma - 1.0)
-            half = 0.5 * q ** -sigma
+            terms = [b ** -sigma for b in bases]
+            head = math.fsum(terms)
+            q_x = q ** x
+            q_s = q ** -sigma
         except OverflowError:
             raise AccuracyError(
                 f"head-sum magnitude overflows a float at sigma={sigma}, "
                 f"a={self.a}",
                 achieved_bound=math.inf,
             ) from None
+        integral = q_x / (sigma - 1.0)
+        half = 0.5 * q_s
         partial = head + integral
         total = partial + half
         # First-order rounding in units u = eps/2, libm's pow taken as good
@@ -440,14 +434,15 @@ class Evaluator:
         dx = math.fsum((1.0, -sigma, -x))
         if dx:
             rounding += abs(dx) * (ln_q + 1.0 / abs(x)) * integral_abs
+        powers = terms, q_x, q_s
         if rounding >= target:
-            return total, math.inf
+            return total, math.inf, powers
         kmax = MAX_CORRECTION_ORDER
         if s_abs + 2 * kmax > reach:
             kmax = int((reach - s_abs) / 2.0)
         val, bound = _correction_loop(sigma, q, total, kmax,
                                       target - rounding, _em_coef)
-        return val, bound + rounding
+        return val, bound + rounding, powers
 
     def sign(self, sigma: float) -> int:
         """Certified sign (-1, 0 or 1) of zeta(sigma, a).
@@ -486,19 +481,103 @@ class Evaluator:
         elif sigma < 1.0:
             if self._in_ball(sigma):
                 return self._ball[2]
-            val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
-                                        SIGN_SCAN_TARGET)
+            val, bound, powers = self._em_float(sigma, SIGN_HEAD_TERMS,
+                                                SIGN_SCAN_TARGET)
             margin = abs(val) - bound - self.params.target_abs_error
             if margin > 0.0:
                 sgn = 1 if val > 0.0 else -1
                 margin -= 2.0 * _EPS * abs(val)  # its rounding
-                self._ball = (sigma, _ball_radius(sigma, self.a, margin), sgn)
+                self._ball = (sigma, self._ball_radius(sigma, sgn, margin,
+                                                       powers), sgn)
                 return sgn
         return None
 
     def _in_ball(self, sigma: float) -> bool:
         """Whether the stored ball [sigma0, sigma0 + r] covers sigma."""
         return 0.0 <= sigma - self._ball[0] <= self._ball[1]
+
+    def _ball_radius(self, sigma: float, sgn: int, margin: float,
+                     powers) -> float:
+        """r >= 0 with zeta(., a) of sign `sgn` and |zeta| > |zeta(sigma, a)|
+        - margin on [sigma, sigma + r], if -3 <= sigma < 1, 0 < margin <
+        |zeta(sigma, a)| and sgn is its sign: `sign`'s exclusion ball.
+        `powers` are the loose sum's (`_em_float` at M = `SIGN_HEAD_TERMS`).
+        Euler-Maclaurin's slope bound serves on (-1, 1), Hurwitz's
+        (`_fourier_ball_radius`) on [-3, 0), and where both do the larger
+        ball stands: Hurwitz's near -1, Euler-Maclaurin's elsewhere.
+
+        With q = M + a, two corrections and the periodic B_5 remainder
+        (Apostol Ch. 12), for s > -4, zeta(s, a) = sum_(n<M) (n+a)^-s +
+        q^(1-s)/(s-1) + q^-s/2 + s q^(-s-1)/12 - (s)_3 q^(-s-3)/720 + R,
+        R = -(s)_5/5! int_M^oo B5~(x) (x+a)^(-s-5) dx, (s)_k the rising
+        factorial.  So zeta' = P + R', P the derivative of the rest:
+        P(s) = -sum ln(n+a) (n+a)^-s - q^u (1 - u ln q)/u^2 - (ln q/2) q^-s
+        + q^(-s-1) (1 - s ln q)/12 - q^(-s-3) ((s)_3' - (s)_3 ln q)/720, u =
+        1 - s.  |B5~|/5! <= 2 zeta(5)/(2 pi)^5 = c, int_M^oo (x+a)^(-b-1) =
+        q^-b/b and int ln(x+a) (x+a)^(-b-1) = q^-b (ln q/b + 1/b^2), so
+        with b = s + 4 > 3, |(s)_5| <= 120 and |(s)_5'| <= 274 for |s| < 1:
+        |R'| <= rho = c q^(-sigma-4) (274/3 + 120 (ln q/3 + 1/9)) on the
+        ball.  P' = sum ln^2(n+a) (n+a)^-s - q^u ((u ln q - 1)^2 + 1)/u^3 +
+        (ln^2 q/2) q^-s + q^(-s-1) ln q (s ln q - 2)/12 - q^(-s-3) ((s)_3''
+        - 2 (s)_3' ln q + (s)_3 ln^2 q)/720, so on [sigma, sigma + t] |P'| <=
+        P2(t) = ln^2 a a^(-sigma-t) + sum_(1<=n<M) ln^2(n+a) (n+a)^-sigma +
+        q^(1-sigma) ((u ln q - 1)^2 + 1)/e^3 + q^-sigma (ln^2 q/2 + ln q (2
+        + ln q)/(12 q) + (12 + 22 ln q + 6 ln^2 q)/(720 q^3)), e = 1 -
+        sigma - t and u at its worse end of {1 - sigma, e}: a^-s rises in
+        s, the other powers fall, the square is convex in u, and |(s)_3''|
+        <= 12, |(s)_3'| <= 11, |(s)_3| <= 6.  P2 does not decrease in t.
+        For y in [sigma, sigma + t], sgn zeta'(y) >= sgn P(sigma) - rho -
+        (y - sigma) P2(t), so zeta keeps its sign and |zeta| falls by at
+        most r (rho - sgn P(sigma)) + r^2 P2/2 <= margin on [sigma, sigma +
+        r], r <= t (the left side is convex in r, so its end bounds it).  r
+        solves that quadratic with P2 at the cap (1 - sigma)/2, halfway to
+        the pole (there a^(-sigma-t) = sqrt(a^-sigma) a^(-1/2)), and again
+        with P2 at 2r, r at most doubling, where r < 1/4 of the cap.
+        P(sigma) takes the loose sum's powers; 1e-12 times the sum of its
+        terms' sizes covers its rounding, and a factor 1 + 1e-12 that of rho
+        and P2.  The logarithms and q-only factors are kept per a, so this
+        bound makes no `pow`: one sqrt, and one exp where r < 1/4 of the
+        cap.
+        """
+        r = 0.0
+        if sigma > -1.0:
+            terms, q_d, q_s = powers
+            consts = self._em_slopes
+            if consts is None:
+                consts = self._em_slopes = _em_slope_consts(self.a)
+            ln_q, logs, logs2, a_root, c1, c2, rho_q, p2_q = consts
+            d = 1.0 - sigma
+            ln_a, h0 = logs[0], terms[0]
+            g = (1.0 - d * ln_q) / (d * d)
+            head = sum(map(operator.mul, logs, terms))
+            half = 0.5 * ln_q * q_s
+            t1 = c1 * q_s * (1.0 - sigma * ln_q)
+            t2 = c2 * q_s * (3.0 * sigma * sigma + 6.0 * sigma + 2.0
+                             - sigma * (sigma + 1.0) * (sigma + 2.0) * ln_q)
+            # -P(sigma) = head + q_d g + half - t1 + t2; size sums |terms|
+            size = (head - 2.0 * ln_a * h0 + q_d * abs(g) + half + abs(t1)
+                    + abs(t2))
+            # r slope + r^2 P2/2 <= margin, slope = rho - sgn P(sigma)
+            slope = (rho_q * q_s + 1e-12 * size
+                     + sgn * (head + q_d * g + half - t1 + t2))
+            fixed = sum(map(operator.mul, logs2, terms)) + p2_q * q_s
+
+            def radius(t, a_t):  # a_t = a^(-sigma-t)
+                e = d - t
+                w = max(d * ln_q - 1.0, 1.0 - e * ln_q)
+                p2 = (1.0 + 1e-12) * (ln_a * ln_a * a_t + fixed
+                                      + q_d * (w * w + 1.0) / (e * e * e))
+                root = math.sqrt(slope * slope + 2.0 * p2 * margin)
+                return min(t, 2.0 * margin / (slope + root) if slope > 0.0
+                           else (root - slope) / p2)
+
+            cap = 0.5 * d
+            r = radius(cap, math.sqrt(h0) * a_root)
+            if r < 0.25 * cap:
+                r = radius(2.0 * r, h0 * math.exp(-2.0 * r * ln_a))
+        if sigma < 0.0:
+            r = max(r, _fourier_ball_radius(sigma, margin))
+        return r
 
     def _fourier_plan(self, sigma: float, target: float):
         """Term count of Hurwitz's formula for sigma < -3 (the rounding

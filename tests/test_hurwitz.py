@@ -22,8 +22,10 @@ from hurwitz_real_zeros.hurwitz import (
     PoleError,
     StripError,
     SIGN_HEAD_TERMS,
+    SIGN_SCAN_TARGET,
     SMALL_X_THRESHOLD,
-    _ball_radius,
+    _EPS,
+    _fourier_ball_radius,
     _integrand_G_direct,
     check_shift,
     gamma_real,
@@ -553,8 +555,12 @@ def test_signs_match_scalar_on_float_em_random(sigmas, a):
     _assert_signs_match_scalar(sigmas, a)
 
 
-def _uses_em_ball(sigma, a):
-    return (1.0 + sigma) * math.log(SIGN_HEAD_TERMS + a) >= 1.0
+def _ball_radius(sigma, a, margin):
+    """`Evaluator(a)._ball_radius` at sigma, with its loose sum's powers
+    and sign."""
+    ev = Evaluator(a)
+    val, _, powers = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, powers)
 
 
 def _assert_ball_holds(sigma, a, points):
@@ -567,9 +573,9 @@ def _assert_ball_holds(sigma, a, points):
     start, radius, ball_sign = ev._ball
     if start != sigma:  # the loose sum did not certify
         return False
-    # the ball stays inside the range its slope bound holds on: s < 1 for
-    # Euler-Maclaurin's, s < 0 for the Fourier series'
-    end = 1.0 if _uses_em_ball(sigma, a) else 0.0
+    # the ball stays inside the range its slope bounds hold on: s < 1 for
+    # Euler-Maclaurin's (on s > -1), s < 0 for the Fourier series' alone
+    end = 1.0 if sigma > -1.0 else 0.0
     assert ball_sign == sign and 0.0 <= radius and sigma + radius < end
     target = EvalParams().target_abs_error
     with mpmath.workdps(30):
@@ -589,30 +595,27 @@ def test_exclusion_balls_hold_against_mpmath():
 
 
 def test_em_exclusion_balls_hold_against_mpmath():
-    # balls from the Euler-Maclaurin slope bound, on [-0.28, 1): both sides
-    # of sigma = 0, next to the pole, and a = 1, where (1 + sigma) ln q >= 1
-    # reaches lowest
+    # balls from the Euler-Maclaurin slope bound, on (-1, 1): both sides of
+    # sigma = 0, next to the pole, and next to -1, where the Fourier
+    # series' ball can be the larger
     rng = random.Random(4321)
     for a in (0.01, 0.45, 0.5, 1.0, rng.uniform(0.0, 1.0) or 1.0):
-        lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
         balls = 0
         while balls < 12:
             sigma = (rng.uniform(0.95, 1.0) if balls % 4 == 0
-                     else rng.uniform(max(lowest, -0.28), 1.0))
-            if sigma < 1.0 and _uses_em_ball(sigma, a):
+                     else rng.uniform(-1.0, 1.0))
+            if -1.0 < sigma < 1.0:
                 balls += _assert_ball_holds(sigma, a, 9)
 
 
 def test_exclusion_slope_bound_covers_the_derivative():
     # the helper's pref * L1(s), read back from a radius at a tiny margin,
-    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|;
-    # L1 serves for every a at s >= 1.3, Euler-Maclaurin's bound nearer 1
+    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|, for
+    # every a, at s >= 1.3
     rng = random.Random(77)
     for s in [1.3, 4.0] + [rng.uniform(1.3, 4.0) for _ in range(30)]:
         sigma, margin = 1.0 - s, 1e-9
-        a = rng.uniform(0.0, 1.0) or 1.0
-        assert not _uses_em_ball(sigma, a)
-        radius = _ball_radius(sigma, a, margin)
+        radius = _fourier_ball_radius(sigma, margin)
         with mpmath.workdps(30):
             s_mp = 1 - mpmath.mpf(sigma)
             pref = 2 * mpmath.gamma(s_mp) / (2 * mpmath.pi) ** s_mp
@@ -630,41 +633,123 @@ def test_prefactor_rises_with_sigma_on_float_em_strips():
 
 @pytest.mark.parametrize("sigma", [-5e-324, -1e-17, -3.0])
 def test_exclusion_radius_at_strip_ends_is_finite(sigma):
-    # the ends of N = 0: Euler-Maclaurin's bound serves next to sigma = 0,
-    # the Fourier series' at -3
+    # the ends of N = 0..2: both slope bounds serve next to sigma = 0, and
+    # the larger ball stands; the Fourier series' alone at -3
     for a in (1e-300, 0.3, 1.0):
-        assert _uses_em_ball(sigma, a) == (sigma > -3.0)
         for margin in (5e-324, 1e-10, 1.0):
             radius = _ball_radius(sigma, a, margin)
-            assert 0.0 <= radius < math.inf
+            assert _fourier_ball_radius(sigma, margin) <= radius < math.inf
 
 
-def test_em_exclusion_slope_bound_covers_the_derivative():
-    # margin / radius is at least max |zeta'| over the ball, at a tiny
-    # margin (a tiny ball) and at half of |zeta| (a ball reaching out)
-    rng = random.Random(78)
-    for _ in range(30):
-        a = rng.choice((0.01, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
-        lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
-        sigma = rng.choice((rng.uniform(lowest, 1.0),
-                            rng.uniform(0.95, 1.0), lowest))
-        half = abs(_mp_zeta(sigma, a)) / 2.0
-        for margin in (1e-9, half):
-            radius = _ball_radius(sigma, a, margin)
-            assert radius > 0.0
+def _em_ball_cases():
+    """(sigma, a) where `Evaluator(a).sign` stores a ball from the
+    Euler-Maclaurin bound: a in {1e-300, 1e-6, 0.01, 0.5, 1, seeded},
+    sigma next to the pole (1 - 10^-k), next to -1, next to a zero of N =
+    -1 or 0 (closing in on it from the left, and just past it) and
+    spread over (-1, 1)."""
+    rng = random.Random(79)
+    cases = []
+    for a in (1e-300, 1e-6, 0.01, 0.5, 1.0, rng.uniform(0.0, 1.0) or 1.0):
+        sigmas = [1.0 - 10.0 ** -k for k in (1, 2, 3, 4)]
+        sigmas += [-1.0 + 10.0 ** -k for k in (1, 3, 9)]
+        sigmas += [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        sigmas += [0.01 * k for k in range(-8, 5)]  # a -> 0 certifies here
+        for N in (-1, 0):
+            for z in locate_zeros(N, a, 64, EvalParams(1e-6)):
+                sigmas += [z.sigma + d for d in (-1e-1, -1e-2, -1e-3, 1e-3)]
+        cases += [(s, a) for s in sigmas if -1.0 < s < 1.0]
+    return cases
+
+
+def _em_ball(sigma, a):
+    """(sign, margin, radius) of the ball `Evaluator(a).sign(sigma)`
+    stores from its loose sum, or None where that sum does not certify."""
+    ev = Evaluator(a)
+    val, bound, _ = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+    sgn = ev._loose_sign(sigma)
+    start, radius, ball_sign = ev._ball
+    if sgn is None or start != sigma:
+        return None
+    assert ball_sign == sgn and 0.0 <= radius <= (1.0 - sigma) / 2.0
+    margin = (abs(val) - bound - EvalParams().target_abs_error
+              - 2.0 * _EPS * abs(val))
+    return sgn, margin, radius
+
+
+def test_em_ball_keeps_its_sign_within_its_margin():
+    # sgn zeta(y) >= sgn zeta(sigma) - margin > target at 9 points across
+    # the ball and at its end, at 30 digits: the ball's own claim
+    target = EvalParams().target_abs_error
+    balls = 0
+    for sigma, a in _em_ball_cases():
+        ball = _em_ball(sigma, a)
+        if ball is None:
+            continue
+        sgn, margin, radius = ball
+        balls += 1
+        with mpmath.workdps(30):
+            start = sgn * mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
+            for i in range(10):
+                y = mpmath.mpf(sigma) + mpmath.mpf(radius) * i / 9
+                z = sgn * mpmath.zeta(y, mpmath.mpf(a))
+                assert z >= start - margin and z > target, (sigma, a, i)
+    assert balls >= 150
+
+
+def _em_slope_terms(sigma, a, t):
+    """(P(sigma), rho, P2(t)) of `Evaluator._ball_radius`'s Euler-Maclaurin
+    bound at 30 digits: P by differentiating the two-correction form,
+    rho and P2 from the docstring's formulas."""
+    a, t = mpmath.mpf(a), mpmath.mpf(t)
+    q = SIGN_HEAD_TERMS + a
+    lq = mpmath.log(q)
+
+    def em_part(s):
+        return (sum((n + a) ** -s for n in range(SIGN_HEAD_TERMS))
+                + q ** (1 - s) / (s - 1) + q ** -s / 2
+                + s * q ** (-s - 1) / 12
+                - s * (s + 1) * (s + 2) * q ** (-s - 3) / 720)
+
+    s = mpmath.mpf(sigma)
+    d, e = 1 - s, 1 - s - t
+    p = mpmath.diff(em_part, s)
+    rho = (2 * mpmath.zeta(5) / (2 * mpmath.pi) ** 5 * q ** (-s - 4)
+           * (mpmath.mpf(274) / 3 + 120 * (lq / 3 + mpmath.mpf(1) / 9)))
+    w = max(abs(d * lq - 1), abs(e * lq - 1))
+    p2 = (mpmath.log(a) ** 2 * a ** (-s - t)
+          + sum(mpmath.log(n + a) ** 2 * (n + a) ** -s
+                for n in range(1, SIGN_HEAD_TERMS))
+          + q ** d * (w ** 2 + 1) / e ** 3
+          + q ** -s * (lq ** 2 / 2 + lq * (2 + lq) / (12 * q)
+                       + (12 + 22 * lq + 6 * lq ** 2) / (720 * q ** 3)))
+    return p, rho, p2
+
+
+def test_em_ball_derivative_bound_holds():
+    # |zeta'(y) - P(sigma)| <= rho + (y - sigma) P2(t) on [sigma, sigma + t],
+    # for t the ball's radius and the cap (1 - sigma)/2, at 30 digits, where
+    # a ball forms (so |zeta| and a^-sigma stay well inside 30 digits)
+    checked = 0
+    for sigma, a in _em_ball_cases():
+        ball = _em_ball(sigma, a)
+        if ball is None:
+            continue
+        for t in {ball[2], (1.0 - sigma) / 2.0}:
+            checked += 1
             with mpmath.workdps(30):
-                slope = max(abs(mpmath.zeta(
-                    mpmath.mpf(sigma + radius * i / 8), mpmath.mpf(a), 1))
-                    for i in range(9))
-            assert margin / radius >= slope, (sigma, a, margin)
+                p, rho, p2 = _em_slope_terms(sigma, a, t)
+                for i in range(9):
+                    dy = mpmath.mpf(t) * i / 8
+                    slope = mpmath.zeta(sigma + dy, mpmath.mpf(a), 1)
+                    assert abs(slope - p) <= rho + dy * p2, (sigma, a, t, i)
+    assert checked >= 300
 
 
 @pytest.mark.parametrize("a", [1e-300, 1e-6, 0.3, 1.0])
 def test_em_exclusion_radius_at_range_ends_is_finite(a):
-    # both sides of the rule's threshold, and next to the pole
-    lowest = 1.0 / math.log(SIGN_HEAD_TERMS + a) - 1.0
-    for sigma in (lowest - 1e-9, lowest + 1e-9, 0.99):
-        assert _uses_em_ball(sigma, a) == (sigma > lowest)
+    # both sides of sigma = -1, where the Euler-Maclaurin bound starts to
+    # serve, and next to the pole
+    for sigma in (-1.0 - 1e-9, -1.0, -1.0 + 1e-9, 0.99, 1.0 - 1e-15):
         for margin in (5e-324, 1.0):
             radius = _ball_radius(sigma, a, margin)
             assert 0.0 <= radius < math.inf

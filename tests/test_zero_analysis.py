@@ -218,19 +218,23 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
     # evaluator's other rungs
     assert len(locate_zeros(1, 0.4, 512)) == 1
     assert [ev.signs for ev in made] == [24] and scalar_calls[0] == 1
+    # each of those signs is one loose sum, counted where it runs
+    assert log[:log.index("bisect")].count("loose") == 24
     assert uniqueness_check(2, 0.3) == 1
     assert [ev.signs for ev in made] == [24, 510]
     assert scalar_calls[0] == 1
     # no loose sum runs in a bisection after its first step that no ball
-    # or loose sum certifies (these bisections make 1, 3, 1 and 5 of 24)
+    # or loose sum certifies (these bisections make 1, 3, 1 and 5 of 24),
+    # and that step's own loose sum runs just before its full value
     for N, a in ((1, 0.4), (0, 0.1), (2, 0.6), (-1, 0.3)):
         log.clear()
         assert locate_zeros(N, a), (N, a)
         steps = " ".join(log).split("bisect")[1:]
         for bisection in steps:
             words = bisection.split()
-            assert "full" in words, (N, a)
-            assert "loose" not in words[words.index("full"):], (N, a)
+            first_full = words.index("full")
+            assert words[first_full - 1] == "loose", (N, a)
+            assert "loose" not in words[first_full:], (N, a)
 
 
 def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
@@ -247,22 +251,30 @@ def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
 
 
 def test_float_em_scans_skip_loose_sums_inside_balls(monkeypatch):
-    loose = [0]
+    loose, signs = [0], [0]
     em_float = zero_analysis.Evaluator._em_float
+    sign = zero_analysis.Evaluator.sign
 
     def counted(self, sigma, M, target):
         loose[0] += M == SIGN_HEAD_TERMS
         return em_float(self, sigma, M, target)
 
+    def counted_sign(self, sigma):
+        signs[0] += 1
+        return sign(self, sigma)
+
     monkeypatch.setattr(zero_analysis.Evaluator, "_em_float", counted)
+    monkeypatch.setattr(zero_analysis.Evaluator, "sign", counted_sign)
     # with no balls, (1, 0.4) summed once per grid point and bisection
-    # step: 512 + 24; (-1, 0.7) has no zero, and with balls from the
-    # Fourier slope bound alone made 512 sums, (0, 0.45) made 82
-    for N, a, most in ((1, 0.4, 60), (2, 0.3, 10), (-1, 0.7, 40),
-                       (0, 0.45, 40)):
-        loose[0] = 0
+    # step: 512 + 24.  (-1, 0.7) has no zero, and made 512 sums with balls
+    # from the Fourier slope bound alone and 24 with first-order
+    # Euler-Maclaurin balls; (0, 0.45) made 82, then 28; (-1, 0.3), with
+    # a zero, made 55.  Each walk sign outside a ball is one loose sum
+    for N, a, most in ((1, 0.4, 25), (2, 0.3, 4), (-1, 0.7, 13),
+                       (0, 0.45, 8), (-1, 0.3, 21)):
+        loose[0] = signs[0] = 0
         locate_zeros(N, a)
-        assert loose[0] <= most, (N, a, loose[0])
+        assert 0 < signs[0] <= loose[0] <= most, (N, a, signs[0], loose[0])
 
 
 def _full_value_zeros(N, a, params=EvalParams()):
