@@ -34,33 +34,32 @@ per k for the process).  It stays in pure Python: importing numpy costs
 more set-up time and memory than a scan.
 
 `Evaluator.sign(sigma)` returns the certified sign of zeta(sigma, a),
-which is all a zero scan uses.  It tries three rungs in turn:
+which is all a zero scan uses.  It tries two rungs in turn:
 
-- a stored exclusion ball: on [-3, 1), a sigma inside the last ball
-  [sigma0, sigma0 + r] takes its sign with no sum;
 - a loose sum to `SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few
   terms below sigma = -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms
   instead of 20 on [-3, 1).  If its value v' exceeds its bound b'
   (truncation and rounding) by more than the target, then |zeta| > target,
-  so v' has the sign of zeta and of the full value, at any target.  On
-  [-3, 1) the excess then stores the ball that `_ball_radius` gives;
+  so v' has the sign of zeta and of the full value, at any target;
 - the full value, at the few points left, those next to a zero.
 
 So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
-The first two rungs are `_loose_sign`, which returns None where neither
-certifies.  A certified sign is the full value's, so a caller may skip the
-points a ball covers, or go straight to the full value, without changing a
-sign.  `locate_zeros` does both.  On N = -1..2 (200 a per strip from
-`random.Random(100)`) its walk over a 512-point grid calls `sign` a median
-of 13, 12, 7 and 16 times, once per loose sum, and its bisections stop
-trying loose sums at their first uncertified step: 5.3, 3.0, 2.1 and 2.9
-per cell with a zero where one per step made 24.  On N = 3..7 (40 a per
-strip) a bisection tries 1.0-1.4 loose sums where it tried 24.  On (-1,
-1) a ball is second order: the slope at sigma is taken with its sign from
-the loose sum's own powers, and only its change across the ball is
-bounded, so balls reach a zero's neighbourhood in few steps.  First-order
-balls (|zeta'| bounded by the sizes of its terms, 2.5-8 times |zeta'|)
-made a median of 29.5 and 38 walk signs on N = -1 and 0.
+The first rung is `_loose_sign`, which returns None where the loose sum
+does not certify, and else the sign with an exclusion ball: on [-3, 1),
+the excess gives the radius r of [sigma, sigma + r], over which zeta keeps
+that sign (`_ball_radius`); below -3, r = 0.  No ball is stored, so `sign`
+depends on (a, params, sigma) alone, never on earlier calls.  A certified
+sign is the full value's, so a caller may skip the points a ball covers,
+or go straight to the full value, without changing a sign.  `sign_changes`
+walks a grid that way, and `bisect` bisects a sign change on loose sums
+until its first uncertified step, then on full values.  On N = -1..2 (200
+a per strip from `random.Random(100)`) a 512-point walk takes a median of
+13, 12, 7 and 16 loose sums, and its bisections 6.4, 3.5, 2.1 and 3.0 per
+cell with a zero where one per step made 24.  On N = 3..7 (40 a per strip)
+a bisection tries 1.0-1.4 loose sums where it tried 24.  On (-1, 1) a ball
+is second order: the slope at sigma is taken with its sign from the loose
+sum's own powers, and only its change across the ball is bounded, so balls
+reach a zero's neighbourhood in few steps.
 """
 
 from __future__ import annotations
@@ -78,6 +77,7 @@ from .bernoulli import (
     RATIONAL_CAP,
     bernoulli_number,
     bernoulli_polynomial,
+    bisect_sign,
     eval_poly,
 )
 
@@ -329,6 +329,9 @@ class Evaluator:
     instance would; float Euler-Maclaurin's own bound alone decides whether
     a point moves to `mpf-em`.  `sign` returns the certified sign of zeta:
     that of a cheaper sum where its bound allows, else that of the value.
+    No call depends on an earlier one.  `sign_changes` and `bisect` are a
+    zero scan's two halves: the grid walk, and the bisection of each sign
+    change it finds.
     """
 
     def __init__(self, a: float, params: EvalParams = EvalParams()):
@@ -336,7 +339,6 @@ class Evaluator:
         self.params = params
         self._heads = {}  # M: (bases n + a, q = M + a, ln q, sqrt(2) pi q)
         self._angles = [0.0]  # index k; k = 0 is never summed
-        self._ball = (0.0, -1.0, 0)  # sign's last (sigma, r, sign); empty
         self._em_slopes = None  # `_em_slope_consts(a)`, on first use
 
     def __call__(self, sigma: float):
@@ -452,55 +454,104 @@ class Evaluator:
         `SIGN_HEAD_TERMS` head terms on [-3, 1).  If that value v' exceeds
         its bound b' (truncation and rounding) by more than the target, then
         |zeta| > target and sign(v') is the sign of zeta, and of any value
-        within target of it.  On [-3, 1) the excess also stores the ball
-        [sigma, sigma + `_ball_radius`] with |zeta| > target, as
-        `_ball = (sigma, r, sign)`; later calls inside it return its sign
-        with no sum.  These rungs are `_loose_sign`.  Where no rung
-        certifies, the sign is that of self(sigma)[0].  So `sign` raises
-        only where self(sigma) raises and no loose sum or ball certifies,
-        and a caller that skips a point inside `_ball`, or goes straight to
-        self(sigma), changes the cost and never the sign.
+        within target of it.  This rung is `_loose_sign`.  Where it does not
+        certify, the sign is that of self(sigma)[0].  So `sign` raises only
+        where self(sigma) raises and the loose sum does not certify, and it
+        depends on sigma alone, never on earlier calls.
         """
         sigma = float(sigma)
-        sgn = self._loose_sign(sigma)
-        if sgn is not None:
-            return sgn
+        loose = self._loose_sign(sigma)
+        return self._value_sign(sigma) if loose is None else loose[0]
+
+    def _value_sign(self, sigma: float) -> int:
+        """The sign of the full value self(sigma)[0]."""
         val = self(sigma)[0]
         return (val > 0.0) - (val < 0.0)
 
     def _loose_sign(self, sigma: float):
-        """`sign`'s ball and loose-sum rungs: the sign of zeta(sigma, a)
-        where one of them certifies it, else None."""
+        """`sign`'s loose-sum rung: (sign, r) where the loose sum certifies
+        the sign of zeta(sigma, a), else None.  zeta keeps that sign on
+        the exclusion ball [sigma, sigma + r]: r is `_ball_radius`'s on
+        [-3, 1), and 0.0 below -3."""
         if sigma < FOURIER_CROSSOVER:
             plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
             if plan is not None:
                 n, pref, tail, rounding = plan
                 val = pref * self._fourier_sum(sigma, n)
                 if abs(val) - (tail + rounding) > self.params.target_abs_error:
-                    return 1 if val > 0.0 else -1
+                    return (1 if val > 0.0 else -1), 0.0
         elif sigma < 1.0:
-            if self._in_ball(sigma):
-                return self._ball[2]
             val, bound, powers = self._em_float(sigma, SIGN_HEAD_TERMS,
                                                 SIGN_SCAN_TARGET)
             margin = abs(val) - bound - self.params.target_abs_error
             if margin > 0.0:
                 sgn = 1 if val > 0.0 else -1
                 margin -= 2.0 * _EPS * abs(val)  # its rounding
-                self._ball = (sigma, self._ball_radius(sigma, sgn, margin,
-                                                       powers), sgn)
-                return sgn
+                return sgn, self._ball_radius(sigma, sgn, margin, powers)
         return None
 
-    def _in_ball(self, sigma: float) -> bool:
-        """Whether the stored ball [sigma0, sigma0 + r] covers sigma."""
-        return 0.0 <= sigma - self._ball[0] <= self._ball[1]
+    def sign_changes(self, lo: float, step: float, n: int):
+        """The sign changes of zeta(., a) over the grid lo + i * step, i <
+        n, on certified signs: (x, x, 0) for a grid point x of sign 0
+        other than the first, and (x, y, sign at x) for neighbouring
+        sampled points x < y of opposite signs.  Every sign is taken before
+        this returns, so a failing grid point raises before any bisection.
+
+        Each point takes its loose sign, else its full value's.  Where the
+        loose sum leaves a ball [x, x + r], every later grid point in it
+        has x's sign, so the walk records x's sign change first and then
+        goes on from the last grid point in the ball: an index estimate,
+        corrected by the ball's own test, spares testing each of the ~480
+        covered points of a 512-point scan on N = -1..2 in turn.
+        """
+        events = []
+        prev_x = prev_s = None
+        i = 0
+        while i < n:
+            x = lo + i * step
+            loose = self._loose_sign(x)
+            sx, r = (self._value_sign(x), 0.0) if loose is None else loose
+            if sx == 0:
+                if i:  # the first point only opens the first bracket
+                    events.append((x, x, 0))
+            elif prev_s and sx != prev_s:
+                events.append((prev_x, x, prev_s))
+            if r:
+                j = min(n - 1, i + int(r / step))
+                while j + 1 < n and lo + (j + 1) * step - x <= r:
+                    j += 1
+                while lo + j * step - x > r:
+                    j -= 1
+                i, x = j, lo + j * step
+            prev_x, prev_s = x, sx
+            i += 1
+        return events
+
+    def bisect(self, lo: float, hi: float, slo: int):
+        """`bisect_sign` on [lo, hi], whose ends have the signs slo and
+        -slo, to half-width <= the params target: (x, half-width).  Steps
+        take loose signs up to the first one the loose sum leaves
+        uncertified, then full values: later steps are closer to the zero,
+        where loose sums seldom certify.  Each sign is `sign`'s, unless a
+        full value raises at a step a loose sum would have certified."""
+        loose = True
+
+        def sign(x: float) -> int:
+            nonlocal loose
+            if loose:
+                got = self._loose_sign(x)
+                if got is not None:
+                    return got[0]
+                loose = False
+            return self._value_sign(x)
+
+        return bisect_sign(sign, lo, hi, slo, self.params.target_abs_error)
 
     def _ball_radius(self, sigma: float, sgn: int, margin: float,
                      powers) -> float:
         """r >= 0 with zeta(., a) of sign `sgn` and |zeta| > |zeta(sigma, a)|
         - margin on [sigma, sigma + r], if -3 <= sigma < 1, 0 < margin <
-        |zeta(sigma, a)| and sgn is its sign: `sign`'s exclusion ball.
+        |zeta(sigma, a)| and sgn is its sign: `_loose_sign`'s exclusion ball.
         `powers` are the loose sum's (`_em_float` at M = `SIGN_HEAD_TERMS`).
         Euler-Maclaurin's slope bound serves on (-1, 1), Hurwitz's
         (`_fourier_ball_radius`) on [-3, 0), and where both do the larger

@@ -5,9 +5,9 @@ exactly-one-zero check for the deep intervals [-2M-2, -2M).
 The existence criterion is the sign of B_(N+1)(a) * B_(N+2)(a), evaluated in
 exact rational arithmetic; the harness scans the evaluator for sign changes
 and refines them by bisection, with neither side trusting the other.  Each
-scan builds one `Evaluator`, walks the grid on its certified signs and
-bisects each sign change (see `locate_zeros`); each residual is one
-`hurwitz_zeta` call.
+scan builds one `Evaluator`, walks the grid on its certified signs
+(`Evaluator.sign_changes`) and bisects each sign change
+(`Evaluator.bisect`); each residual is one `hurwitz_zeta` call.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from typing import List, Optional, Sequence, Tuple
 from .bernoulli import (
     IndeterminateSign,
     bernoulli_polynomial,
-    bisect_sign,
     eval_poly,
     even_roots,
     sign_on_unit_interval,
 )
 from .hurwitz import (
-    FOURIER_CROSSOVER,
     AccuracyError,
     EvalParams,
     Evaluator,
@@ -155,40 +153,21 @@ def _grid_spacing(N: int, grid_points: int,
     if not 0.0 < refine_tol < math.inf:
         raise ValueError("refine_tol must be finite and positive")
     margin = min(1e-4, refine_tol * 10.0)
-    lo = -N - 1 + margin
-    hi = -N - (1e-2 if N == -1 else margin)
+    # a margin under half the float spacing would round an end onto the
+    # integer, outside the strip: each end stays at least one float inside
+    lo = max(-N - 1 + margin, math.nextafter(-N - 1, math.inf))
+    hi = min(-N - (1e-2 if N == -1 else margin),
+             math.nextafter(-N, -math.inf))
     return lo, (hi - lo) / (grid_points - 1)
 
 
 def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     """The sigma values locate_zeros samples in (-N-1, -N): grid_points
-    equally spaced points from min(1e-4, 10 * refine_tol) inside each end,
-    1e-2 inside the right end for N = -1 (the pole at sigma = 1)."""
+    equally spaced points from min(1e-4, 10 * refine_tol), but at least one
+    float, inside each end; 1e-2 inside the right end for N = -1 (the pole
+    at sigma = 1)."""
     lo, step = _grid_spacing(N, grid_points, refine_tol)
     return [lo + i * step for i in range(grid_points)]
-
-
-def _bisection_sign(ev: Evaluator):
-    """`ev.sign` for one bracket's bisection: balls and loose sums
-    (`ev._loose_sign`) until the first step that none of them certifies,
-    full values from then on.  Later steps lie inside a bracket whose ends
-    are within its width of that step, so loose sums seldom certify there.
-    Each sign is `ev.sign`'s, except that where a loose sum would certify
-    a later step whose full value raises, this raises and `ev.sign` does
-    not."""
-    loose = True
-
-    def sign(x: float) -> int:
-        nonlocal loose
-        if loose:
-            sgn = ev._loose_sign(x)
-            if sgn is not None:
-                return sgn
-            loose = False
-        val = ev(x)[0]
-        return (val > 0.0) - (val < 0.0)
-
-    return sign
 
 
 def locate_zeros(
@@ -197,57 +176,30 @@ def locate_zeros(
     grid_points: int = 512,
     params: EvalParams = EvalParams(),
 ) -> List[LocatedZero]:
-    """Numeric witness: one `Evaluator` walks `scan_grid` taking the signs
-    of zeta(., a), then bisects each sign change to bracket half-width <=
-    the params target; the residual at the final midpoint is one
-    `hurwitz_zeta` call.
+    """Numeric witness: one `Evaluator` walks `scan_grid` on the certified
+    signs of zeta(., a) (`Evaluator.sign_changes`), then bisects each sign
+    change to bracket half-width <= the params target (`Evaluator.bisect`);
+    the residual at the final midpoint is one `hurwitz_zeta` call.  A grid
+    point of sign 0 is a zero with half-width and residual 0.
 
-    The walk takes `ev.sign` at a grid point, and where the exclusion ball
-    stored in `ev` then covers it, gives that sign to every later grid
-    point the ball covers and goes on from the last of them.  Each bisection
-    tries balls and loose sums until its first step they leave
-    uncertified, then full values only (`_bisection_sign`).  A certified
-    sign is the full value's, so both change the cost and not the result,
-    unless a full value raises at a step a loose sum would have certified.
+    The walk skips the grid points an exclusion ball covers, and each
+    bisection stops trying loose sums at its first step they leave
+    uncertified.  A certified sign is the full value's, so both change the
+    cost and not the result, unless a full value raises at a step a loose
+    sum would have certified.
     """
-    tol = params.target_abs_error
-    lo, step = _grid_spacing(N, grid_points, tol)
+    lo, step = _grid_spacing(N, grid_points, params.target_abs_error)
     ev = Evaluator(a, params)
-    # every sign first, then every bisection: a failing grid point raises
-    # before any bisection step runs
-    found = []  # exact zeros, and sign changes as (left, right, left sign)
-    prev_x = prev_s = None
-    i = 0
-    while i < grid_points:
-        x = lo + i * step
-        sx = ev.sign(x)
-        if sx == 0:
-            if i:  # the first point only opens the first bracket
-                found.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
-                                         residual=0.0))
-        elif prev_s and sx != prev_s:
-            found.append((prev_x, x, prev_s))
-        if x >= FOURIER_CROSSOVER and ev._in_ball(x):  # no ball below
-            # on to the last grid point in the ball: an index estimate,
-            # corrected by the ball's own test, spares testing each of the
-            # ~480 covered points of a 512-point scan on N = -1..2 in turn
-            c, r, _ = ev._ball
-            j = min(grid_points - 1, i + int((c + r - x) / step))
-            while j + 1 < grid_points and ev._in_ball(lo + (j + 1) * step):
-                j += 1
-            while not ev._in_ball(lo + j * step):
-                j -= 1
-            i, x = j, lo + j * step
-        prev_x, prev_s = x, sx
-        i += 1
     zeros: List[LocatedZero] = []
-    for z in found:
-        if isinstance(z, tuple):
-            sigma, h = bisect_sign(_bisection_sign(ev), *z, tol)
-            z = LocatedZero(
+    for x, y, sx in ev.sign_changes(lo, step, grid_points):
+        if sx == 0:
+            zeros.append(LocatedZero(sigma=x, bracket_halfwidth=0.0,
+                                     residual=0.0))
+        else:
+            sigma, h = ev.bisect(x, y, sx)
+            zeros.append(LocatedZero(
                 sigma=sigma, bracket_halfwidth=h,
-                residual=abs(hurwitz_zeta(sigma, ev.a, ev.params)))
-        zeros.append(z)
+                residual=abs(hurwitz_zeta(sigma, ev.a, ev.params))))
     return zeros
 
 

@@ -200,6 +200,14 @@ def test_scan_tolerance_below_float_spacing_returns(capsys):
     assert signs == {False, True}
 
 
+def test_scan_tight_tolerance_keeps_the_grid_inside_the_strip(capsys):
+    # the trivial zero at -2 is an end of (-3, -2), not a zero inside it
+    code, out, _ = run(capsys, "scan", "--N", "2", "--a", "1",
+                       "--tol", "1e-17")
+    assert code == 0
+    assert "no zeros" in out and "zero at" not in out
+
+
 def test_scan_riemann_interval_empty(capsys):
     code, out, _ = run(capsys, "scan", "--N", "1", "--a", "1")
     assert code == 0

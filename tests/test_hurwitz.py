@@ -564,15 +564,15 @@ def _ball_radius(sigma, a, margin):
 
 
 def _assert_ball_holds(sigma, a, points):
-    """`Evaluator(a).sign(sigma)` stores a ball when its loose sum
-    certifies; every one of `points` points across it has, at 30 digits,
-    |zeta| > target and the ball's sign, the sign a scan takes there without
-    a sum.  Returns whether a ball was stored."""
-    ev = Evaluator(a)
-    sign = ev.sign(sigma)
-    start, radius, ball_sign = ev._ball
-    if start != sigma:  # the loose sum did not certify
+    """`Evaluator(a)._loose_sign(sigma)` returns (sign, r) when its loose
+    sum certifies; every one of `points` points across the ball [sigma,
+    sigma + r] has, at 30 digits, |zeta| > target and that sign, the sign a
+    scan takes there without a sum.  Returns whether a ball was returned."""
+    loose = Evaluator(a)._loose_sign(sigma)
+    if loose is None:  # the loose sum did not certify
         return False
+    ball_sign, radius = loose
+    sign = Evaluator(a).sign(sigma)
     # the ball stays inside the range its slope bounds hold on: s < 1 for
     # Euler-Maclaurin's (on s > -1), s < 0 for the Fourier series' alone
     end = 1.0 if sigma > -1.0 else 0.0
@@ -642,8 +642,8 @@ def test_exclusion_radius_at_strip_ends_is_finite(sigma):
 
 
 def _em_ball_cases():
-    """(sigma, a) where `Evaluator(a).sign` stores a ball from the
-    Euler-Maclaurin bound: a in {1e-300, 1e-6, 0.01, 0.5, 1, seeded},
+    """(sigma, a) where `Evaluator(a)._loose_sign` may return a ball from
+    the Euler-Maclaurin bound: a in {1e-300, 1e-6, 0.01, 0.5, 1, seeded},
     sigma next to the pole (1 - 10^-k), next to -1, next to a zero of N =
     -1 or 0 (closing in on it from the left, and just past it) and
     spread over (-1, 1)."""
@@ -662,15 +662,16 @@ def _em_ball_cases():
 
 
 def _em_ball(sigma, a):
-    """(sign, margin, radius) of the ball `Evaluator(a).sign(sigma)`
-    stores from its loose sum, or None where that sum does not certify."""
+    """(sign, margin, radius) of the ball `Evaluator(a)._loose_sign(sigma)`
+    returns from its loose sum, or None where that sum does not certify."""
     ev = Evaluator(a)
     val, bound, _ = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
-    sgn = ev._loose_sign(sigma)
-    start, radius, ball_sign = ev._ball
-    if sgn is None or start != sigma:
+    loose = ev._loose_sign(sigma)
+    if loose is None:
         return None
-    assert ball_sign == sgn and 0.0 <= radius <= (1.0 - sigma) / 2.0
+    sgn, radius = loose
+    assert sgn == (1 if val > 0.0 else -1)
+    assert 0.0 <= radius <= (1.0 - sigma) / 2.0
     margin = (abs(val) - bound - EvalParams().target_abs_error
               - 2.0 * _EPS * abs(val))
     return sgn, margin, radius

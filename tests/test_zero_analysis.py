@@ -161,6 +161,22 @@ def test_refine_tol_below_float_spacing_returns():
     assert signs == {False, True}
 
 
+@pytest.mark.parametrize("N, a", [(2, 1.0), (4, 1.0), (1, 0.5)])
+def test_tight_target_reports_no_zero_on_the_strip_ends(N, a):
+    # zeta(-N, a) = 0 here: a margin of 10 * 1e-17 used to round the grid's
+    # ends onto the integers, and the zero at the end was reported as one
+    # inside (-N-1, -N)
+    assert locate_zeros(N, a, params=EvalParams(1e-17)) == []
+
+
+def test_scan_grid_ends_stay_inside_the_strip():
+    for N in range(-1, 61):
+        for tol in (1e-17, 3e-17, 1e-16, 3e-16, 1e-15):
+            for grid_points in (16, 511, 512):
+                grid = scan_grid(N, grid_points, tol)
+                assert -N - 1 < grid[0] and grid[-1] < -N, (N, tol)
+
+
 def test_locate_zeros_validation():
     with pytest.raises(ValueError):
         locate_zeros(1, 0.4, grid_points=8)
@@ -177,20 +193,36 @@ def test_non_finite_refine_tol_rejected(tol):
         locate_zeros(1, 0.4, 512, EvalParams(tol))
 
 
-def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
+def test_scans_count_their_walk_and_bisection_sums(monkeypatch):
     made, scalar_calls, log = [], [0], []
     scalar = zero_analysis.hurwitz_zeta
-    bisect = zero_analysis.bisect_sign
 
     class CountedEvaluator(zero_analysis.Evaluator):
         def __init__(self, *args):
             super().__init__(*args)
-            self.signs = 0
+            self.signs = self.walk_points = 0
+            self.walking = False
             made.append(self)
 
         def sign(self, sigma):
             self.signs += 1
             return super().sign(sigma)
+
+        def sign_changes(self, *args):
+            log.append("walk")
+            self.walking = True
+            events = super().sign_changes(*args)
+            self.walking = False
+            log.append("walked")
+            return events
+
+        def bisect(self, *args):
+            log.append("bisect")
+            return super().bisect(*args)
+
+        def _loose_sign(self, sigma):
+            self.walk_points += self.walking
+            return super()._loose_sign(sigma)
 
         def __call__(self, sigma):
             log.append("full")
@@ -205,27 +237,24 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
         scalar_calls[0] += 1
         return scalar(*args)
 
-    def logged_bisect(*args):
-        log.append("bisect")
-        return bisect(*args)
-
     monkeypatch.setattr(zero_analysis, "Evaluator", CountedEvaluator)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
-    monkeypatch.setattr(zero_analysis, "bisect_sign", logged_bisect)
     # one evaluator per scan, and each located zero makes one scalar call
-    # for its residual.  The walk calls sign at the 24 grid points that no
-    # ball from an earlier one covers; bisection takes its steps from the
-    # evaluator's other rungs
+    # for its residual.  The walk takes its signs at the 24 grid points
+    # that no ball from an earlier one covers, each one loose sum, counted
+    # where it runs, all before the one bisection; neither half calls sign
     assert len(locate_zeros(1, 0.4, 512)) == 1
-    assert [ev.signs for ev in made] == [24] and scalar_calls[0] == 1
-    # each of those signs is one loose sum, counted where it runs
-    assert log[:log.index("bisect")].count("loose") == 24
+    assert [ev.walk_points for ev in made] == [24] and scalar_calls[0] == 1
+    assert log.count("walk") == 1 and log.count("bisect") == 1
+    walk = log[log.index("walk") + 1:log.index("walked")]
+    assert walk.count("loose") == 24
+    assert log.index("walked") < log.index("bisect")
     assert uniqueness_check(2, 0.3) == 1
-    assert [ev.signs for ev in made] == [24, 510]
+    assert [ev.signs for ev in made] == [0, 510]
     assert scalar_calls[0] == 1
-    # no loose sum runs in a bisection after its first step that no ball
-    # or loose sum certifies (these bisections make 1, 3, 1 and 5 of 24),
-    # and that step's own loose sum runs just before its full value
+    # no loose sum runs in a bisection after its first step that no loose
+    # sum certifies (these bisections make 1, 3, 1 and 5 of 24), and that
+    # step's own loose sum runs just before its full value
     for N, a in ((1, 0.4), (0, 0.1), (2, 0.6), (-1, 0.3)):
         log.clear()
         assert locate_zeros(N, a), (N, a)
@@ -238,8 +267,8 @@ def test_scans_evaluate_their_grid_in_one_call(monkeypatch):
 
 
 def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
-    # a ball stored by one grid point serves the next ones: the signs must
-    # be those of an evaluator with no ball, at every point
+    # sign keeps no state: one evaluator's signs across a grid must be
+    # those of a fresh evaluator at every point
     rng = random.Random(12)
     for N in range(-1, 3):
         grid = scan_grid(N, 512, EvalParams().target_abs_error)
@@ -251,30 +280,42 @@ def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
 
 
 def test_float_em_scans_skip_loose_sums_inside_balls(monkeypatch):
-    loose, signs = [0], [0]
+    loose, certified, walking = [0], [0], [False]
     em_float = zero_analysis.Evaluator._em_float
-    sign = zero_analysis.Evaluator.sign
+    loose_sign = zero_analysis.Evaluator._loose_sign
+    sign_changes = zero_analysis.Evaluator.sign_changes
 
     def counted(self, sigma, M, target):
         loose[0] += M == SIGN_HEAD_TERMS
         return em_float(self, sigma, M, target)
 
-    def counted_sign(self, sigma):
-        signs[0] += 1
-        return sign(self, sigma)
+    def counted_loose_sign(self, sigma):
+        got = loose_sign(self, sigma)
+        certified[0] += walking[0] and got is not None
+        return got
+
+    def walk(self, *args):
+        walking[0] = True
+        try:
+            return sign_changes(self, *args)
+        finally:
+            walking[0] = False
 
     monkeypatch.setattr(zero_analysis.Evaluator, "_em_float", counted)
-    monkeypatch.setattr(zero_analysis.Evaluator, "sign", counted_sign)
+    monkeypatch.setattr(zero_analysis.Evaluator, "_loose_sign",
+                        counted_loose_sign)
+    monkeypatch.setattr(zero_analysis.Evaluator, "sign_changes", walk)
     # with no balls, (1, 0.4) summed once per grid point and bisection
     # step: 512 + 24.  (-1, 0.7) has no zero, and made 512 sums with balls
     # from the Fourier slope bound alone and 24 with first-order
     # Euler-Maclaurin balls; (0, 0.45) made 82, then 28; (-1, 0.3), with
-    # a zero, made 55.  Each walk sign outside a ball is one loose sum
+    # a zero, made 55.  Each walk certification is one loose sum
     for N, a, most in ((1, 0.4, 25), (2, 0.3, 4), (-1, 0.7, 13),
                        (0, 0.45, 8), (-1, 0.3, 21)):
-        loose[0] = signs[0] = 0
+        loose[0] = certified[0] = 0
         locate_zeros(N, a)
-        assert 0 < signs[0] <= loose[0] <= most, (N, a, signs[0], loose[0])
+        assert 0 < certified[0] <= loose[0] <= most, (
+            N, a, certified[0], loose[0])
 
 
 def _full_value_zeros(N, a, params=EvalParams()):
@@ -378,7 +419,7 @@ def test_walk_and_bisection_rule_change_no_zero():
 
 def test_loose_sums_serve_at_loose_targets(monkeypatch):
     # a loose sum that certifies gives |zeta| > target at any target, so a
-    # scan at 1e-3 stores balls too: (-1, 0.7) has no zero and makes no
+    # scan at 1e-3 takes balls too: (-1, 0.7) has no zero and makes no
     # full call, where one per grid point was made before
     params = EvalParams(1e-3)
     assert locate_zeros(1, 0.4, params=params) == [
@@ -453,6 +494,15 @@ def test_uniqueness_zero_next_to_endpoint(a):
     # a = 0.4999, near -4.0003 for a = 0.5001)
     for M in range(2, 6):
         assert uniqueness_check(M, a) == 1, M
+
+
+@pytest.mark.parametrize("grid_points", [16, 512])
+def test_uniqueness_exact_ends_at_subnormal_shift(grid_points):
+    # at a = 1e-322 one end's value -B_n(a)/n underflows to -0.0 as a float
+    # (M = 2 and 3); its exact sign still brackets the zero next to it,
+    # where the float's sign 0 counted a second zero
+    for M in range(2, 6):
+        assert uniqueness_check(M, 1e-322, grid_points) == 1, M
 
 
 @settings(max_examples=100, deadline=None)
