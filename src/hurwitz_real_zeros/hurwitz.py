@@ -47,19 +47,23 @@ So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
 The first rung is `_loose_sign`, which returns None where the loose sum
 does not certify, and else the sign with an exclusion ball: on [-3, 1),
 the excess gives the radius r of [sigma, sigma + r], over which zeta keeps
-that sign (`_ball_radius`); below -3, r = 0.  No ball is stored, so `sign`
-depends on (a, params, sigma) alone, never on earlier calls.  A certified
-sign is the full value's, so a caller may skip the points a ball covers,
-or go straight to the full value, without changing a sign.  `sign_changes`
-walks a grid that way, and `bisect` bisects a sign change on loose sums
-until its first uncertified step, then on full values.  On N = -1..2 (200
-a per strip from `random.Random(100)`) a 512-point walk takes a median of
-13, 12, 7 and 16 loose sums, and its bisections 6.4, 3.5, 2.1 and 3.0 per
-cell with a zero where one per step made 24.  On N = 3..7 (40 a per strip)
-a bisection tries 1.0-1.4 loose sums where it tried 24.  On (-1, 1) a ball
-is second order: the slope at sigma is taken with its sign from the loose
-sum's own powers, and only its change across the ball is bounded, so balls
-reach a zero's neighbourhood in few steps.
+that sign (`_ball_radius`); below -3, r = 0.  A certified full value gives
+a ball the same way.  No ball is stored, so `sign` depends on (a, params,
+sigma) alone, never on earlier calls.  A certified sign is the full
+value's, so a caller may skip the points a ball covers, or go straight to
+the full value, without changing a sign.  `sign_changes` walks a grid that
+way.  `bisect` takes slope bounds once over its bracket, so each certified
+value there, loose sum or full value, gives a two-sided ball [sigma - r,
+sigma + r] inside the bracket; a midpoint inside the latest ball of either
+sign takes its sign with no sum, and other steps take loose sums until the
+first uncertified one, then full values.  Balls are second order: the slope
+at sigma is taken with its sign from the value's own powers, and only its
+change across the ball is bounded, so they reach a zero's neighbourhood in
+few steps.  On N = -1..2 (197 a from `random.Random(100)`) a 512-point walk
+takes a median of 14, 11, 7 and 15 loose sums, and a bisection 3.0, 2.4,
+1.8 and 2.8 loose sums and 4.0, 8.1, 11.0 and 13.6 full values where one
+per step made 24.  On N = 3..7 (40 a per strip) a bisection tries 1.0-1.4
+loose sums where it tried 24.
 """
 
 from __future__ import annotations
@@ -276,46 +280,92 @@ def _fourier_terms(s: float, pref: float, target: float) -> int:
     return max(1, math.ceil(root))
 
 
-def _fourier_ball_radius(sigma: float, margin: float) -> float:
-    """r >= 0 with |zeta(y, a) - zeta(sigma, a)| <= margin for y in [sigma,
-    sigma + r], any a, if -3 <= sigma < 0: the slope bound of Hurwitz's
-    series.  zeta = pref * S as in `Evaluator._fourier_plan`, and |S'| <=
-    sum (pi/2 + ln k) k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) + 1/(s-1)^2 +
-    1/(e s) (integral test), falling in s; pref rises with sigma, as psi(4)
-    < ln 2 pi, so L(t) = pref(sigma) L1(1 + d - t), d = -sigma (s = 1 -
-    sigma reaching 1), bounds |zeta'| on [sigma, sigma + t], inflated by
-    1e-12 for rounding.  r1 = min(margin/L(0), d/2), then r = min(r1,
-    margin/L(r1)) keeps L r <= margin.
-    """
+def _fourier_slope(sigma: float, t: float) -> float:
+    """L(t) >= 0 with |zeta(y, a)| >= |zeta(sigma, a)| - (y - sigma) L(t) for
+    y in [sigma, sigma + t] where zeta keeps its sign, any a, if -3 <=
+    sigma < 0 and 0 <= t <= -sigma/2: the slope bound of Hurwitz's series.
+    zeta = pref * S as in `Evaluator._fourier_plan`, s = 1 - sigma, and
+    |S'| <= sum (pi/2 + ln k) k^-s <= L1(s) = (pi/2)(1 + 1/(s-1)) +
+    1/(s-1)^2 + 1/(e s) (integral test), falling in s; pref rises with
+    sigma, as psi(4) < ln 2 pi, so L(t) = pref(sigma) L1(1 - sigma - t),
+    inflated by 1e-12 for rounding."""
     d = -sigma  # s - 1 at s = 1 - sigma, exactly
-    pref = (1.0 + 1e-12) * 2.0 * math.gamma(1.0 + d) / _TWO_PI ** (1.0 + d)
+    e = d - t  # s - 1 at s = 1 - sigma - t
+    u = 1.0 / e
+    return ((1.0 + 1e-12) * 2.0 * math.gamma(1.0 + d) / _TWO_PI ** (1.0 + d)
+            * (0.5 * math.pi * (1.0 + u) + u * u
+               + 1.0 / (math.e * (1.0 + e))))
 
-    def slope(t):
-        e = d - t  # s - 1 at s = 1 - sigma - t
-        u = 1.0 / e
-        return pref * (0.5 * math.pi * (1.0 + u) + u * u
-                       + 1.0 / (math.e * (1.0 + e)))
 
-    r = min(margin / slope(0.0), 0.5 * d)
-    return max(0.0, min(r, margin / slope(r)))
+def _fourier_radius(sigma: float, margin: float, r1: float) -> float:
+    """Hurwitz's exclusion ball from r1 = min(-sigma/2, margin/L(0)), its
+    bound: min(r1, margin/L(r1)), so L r <= margin with L(r1) >= L(r)
+    (`_fourier_slope`)."""
+    return min(r1, margin / _fourier_slope(sigma, r1))
+
+
+def _quadratic_root(slope: float, p2: float, margin: float) -> float:
+    """The r >= 0 with r slope + r^2 p2/2 = margin, for p2, margin > 0."""
+    root = math.sqrt(slope * slope + 2.0 * p2 * margin)
+    return (2.0 * margin / (slope + root) if slope > 0.0
+            else (root - slope) / p2)
 
 
 def _em_slope_consts(a: float):
     """The per-a factors of `Evaluator._ball_radius`'s Euler-Maclaurin
-    bound: ln q, ln(n + a) for n < M, ln^2(n + a) with n = 0's left out,
-    a^(-1/2), the factors of q^-sigma in its correction terms' slopes, in
-    rho and in P2."""
+    bound: q, ln q, ln a and its square, ln(n + a) for n < M and ln^2(n +
+    a) with n = 0's left out, and the factors of its correction terms'
+    slopes, of rho and of P2."""
     q = SIGN_HEAD_TERMS + a
     ln_q = math.log(q)
     logs = [math.log(n + a) for n in range(SIGN_HEAD_TERMS)]
-    q3 = q * q * q
+    c1, c2 = 1.0 / (12.0 * q), 1.0 / (720.0 * q * q * q)
     return (
-        ln_q, logs, [0.0] + [x * x for x in logs[1:]], 1.0 / math.sqrt(a),
-        1.0 / (12.0 * q), 1.0 / (720.0 * q3),
-        (1.0 + 1e-12) * _B5_BOUND
-        * (274.0 / 3.0 + 120.0 * (ln_q / 3.0 + 1.0 / 9.0)) / (q3 * q),
-        0.5 * ln_q * ln_q + ln_q * (2.0 + ln_q) / (12.0 * q)
-        + (12.0 + 22.0 * ln_q + 6.0 * ln_q * ln_q) / (720.0 * q3))
+        q, ln_q, logs[0], logs[0] * logs[0], logs,
+        [0.0] + [x * x for x in logs[1:]], c1, c2,
+        (1.0 + 1e-12) * _B5_BOUND / (q * q * q * q),
+        0.5 * ln_q * ln_q + 2.0 * c1 * ln_q, c1 * ln_q * ln_q, 6.0 * c2,
+        2.0 * c2 * ln_q, c2 * ln_q * ln_q)
+
+
+def _slope_bounds(consts, lo: float, hi: float, fixed: float, q_s: float,
+                  a_hi: float):
+    """(rho, P2): bounds on |R'| and |P'| over [lo, hi], -4 < lo <= hi <
+    1 (see `Evaluator._ball_radius`), given consts = `_em_slope_consts(a)`,
+    fixed >= sum_(1<=n<M) ln^2(n+a) (n+a)^-lo, q_s >= q^-lo and a_hi >=
+    a^-hi.
+
+    Each factor is bounded at its worse end of the span: with c and h
+    its centre and half-length, m_k = |c + k| + h bounds |s + k|, so
+    |(s)_3| <= S3 = m0 m1 m2, |(s)_3'| <= S3' = m0 m1 + (m0 + m1) m2,
+    |(s)_3''| = 6 |s + 1| <= 6 m1, |(s)_5| <= S5 = S3 m3 m4 and
+    |(s)_5'| <= S5' = S3' m3 m4 + S3 (m3 + m4); |s ln q - 2| <= 2 + m0
+    ln q.  Powers with base above 1 fall in s, so they take lo: q^-s <=
+    q_s, q^u <= q q_s, (n+a)^-s for n >= 1 in `fixed`; a^-s rises, so
+    a^-s <= a_hi; 1/u^3 <= 1/e^3, e = 1 - hi; the square is convex in
+    u, so w = its larger end value on [e, 1 - lo].  With |B5~|/5! <= c
+    = 2 zeta(5)/(2 pi)^5, int_M^oo (x+a)^(-b-1) = q^-b/b and int
+    ln(x+a) (x+a)^(-b-1) = q^-b (ln q/b + 1/b^2), b = s + 4 >= lo + 4
+    = b0: rho = c q_s q^-4 (S5' + S5 (ln q + 1/b0))/b0, and P2 = ln^2 a
+    a_hi + fixed + q q_s (w^2 + 1)/e^3 + q_s (ln^2 q/2 + ln q (2 + m0
+    ln q)/(12 q) + (6 m1 + 2 S3' ln q + S3 ln^2 q)/(720 q^3)).  Both
+    are inflated by 1 + 1e-12 for rounding.
+    """
+    (q, ln_q, _, ln_a2, _, _, _, _, rho_c, p2_0, k1, k2, k3,
+     k4) = consts
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n0, n1, n2 = abs(c) + h, abs(c + 1.0) + h, abs(c + 2.0) + h
+    n3, n4 = abs(c + 3.0) + h, abs(c + 4.0) + h
+    s3 = n0 * n1 * n2
+    s3d = n0 * n1 + (n0 + n1) * n2
+    b = lo + 4.0
+    e = 1.0 - hi
+    w = max((1.0 - lo) * ln_q - 1.0, 1.0 - e * ln_q)
+    rho = rho_c * q_s / b * (s3d * n3 * n4 + s3 * (
+        n3 + n4 + n3 * n4 * (ln_q + 1.0 / b)))
+    return rho, (1.0 + 1e-12) * (
+        ln_a2 * a_hi + fixed + q * q_s * (w * w + 1.0) / (e * e * e)
+        + q_s * (p2_0 + k1 * n0 + k2 * n1 + k3 * s3d + k4 * s3))
 
 
 class Evaluator:
@@ -324,14 +374,15 @@ class Evaluator:
     Work that does not depend on sigma is done once per instance: the head
     bases n + a for each cutoff, the Fourier angles 2 pi (k a mod 1),
     extended to the most terms any sigma has needed, and the logarithms of
-    the exclusion balls' slope bound.  Calling it at sigma
-    returns (value, error_bound, path), the same bit for bit as a fresh
-    instance would; float Euler-Maclaurin's own bound alone decides whether
-    a point moves to `mpf-em`.  `sign` returns the certified sign of zeta:
-    that of a cheaper sum where its bound allows, else that of the value.
-    No call depends on an earlier one.  `sign_changes` and `bisect` are a
-    zero scan's two halves: the grid walk, and the bisection of each sign
-    change it finds.
+    the exclusion balls' slope bounds.  Calling it at sigma returns (value,
+    error_bound, path), the same bit for bit as a fresh instance would;
+    float Euler-Maclaurin's own bound alone decides whether a point moves
+    to `mpf-em`.  `sign` returns the certified sign of zeta: that of a
+    cheaper sum where its bound allows, else that of the value.  No call
+    depends on an earlier one.  `sign_changes` and `bisect` are a zero
+    scan's two halves: the grid walk on forward exclusion balls, and the
+    bisection of each sign change it finds, on balls two-sided inside its
+    bracket.
     """
 
     def __init__(self, a: float, params: EvalParams = EvalParams()):
@@ -342,6 +393,12 @@ class Evaluator:
         self._em_slopes = None  # `_em_slope_consts(a)`, on first use
 
     def __call__(self, sigma: float):
+        val, bound, path, _ = self._evaluate(sigma)
+        return val, bound, path
+
+    def _evaluate(self, sigma: float):
+        """self(sigma) with the `_em_float` powers of a `float-em` value,
+        else None: (value, bound, path, powers)."""
         a = self.a
         sigma = float(sigma)
         if not math.isfinite(sigma):
@@ -353,7 +410,7 @@ class Evaluator:
             if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
                 val = hurwitz_zeta_exact_at_nonpositive_integer(
                     1 - int(sigma), Fraction(a))
-                return float(val), 0.0, "exact"
+                return float(val), 0.0, "exact", None
             plan = self._fourier_plan(sigma, target)
             # where the terms pass MAX_CUTOFF or rounding alone passes
             # target/2, Euler-Maclaurin serves
@@ -361,20 +418,20 @@ class Evaluator:
                     and plan[3] <= target / 2.0):
                 n, pref, tail, rounding = plan
                 return (pref * self._fourier_sum(sigma, n), tail + rounding,
-                        "fourier")
+                        "fourier", None)
         M = _default_cutoff(sigma)
-        val, bound, _ = self._em_float(sigma, M, target)
-        path = "float-em"
-        if bound > target:  # rounding left truncation too little room
-            val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
-            path = "mpf-em"
+        val, bound, powers = self._em_float(sigma, M, target)
+        if bound <= target:
+            return val, bound, "float-em", powers
+        # rounding left truncation too little room
+        val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
         if bound > target:
             raise AccuracyError(
                 f"achieved bound {bound:.3e} exceeds target {target:.3e} "
                 f"at sigma={sigma}, a={a}",
                 achieved_bound=bound,
             )
-        return val, bound, path
+        return val, bound, "mpf-em", None
 
     def _em_float(self, sigma: float, M: int, target: float):
         """Euler-Maclaurin in floats with M head terms: (value, bound,
@@ -460,19 +517,34 @@ class Evaluator:
         depends on sigma alone, never on earlier calls.
         """
         sigma = float(sigma)
-        loose = self._loose_sign(sigma)
-        return self._value_sign(sigma) if loose is None else loose[0]
+        return (self._loose_sign(sigma) or self._value_sign(sigma))[0]
 
-    def _value_sign(self, sigma: float) -> int:
-        """The sign of the full value self(sigma)[0]."""
-        val = self(sigma)[0]
-        return (val > 0.0) - (val < 0.0)
+    def _value_sign(self, sigma: float, bounds=None):
+        """(sign, r): the sign of the full value self(sigma)[0], and the
+        radius of the exclusion ball it certifies, as in `_loose_sign`.
+        Where the value v exceeds its bound b by more than the target, r is
+        `_ball_radius`'s on the margin |v| - b - target, for a `float-em`
+        value on [-3, 1); elsewhere, and for an uncertified value, r = 0."""
+        val, bound, _, powers = self._evaluate(sigma)
+        sgn = (val > 0.0) - (val < 0.0)
+        if powers is not None and FOURIER_CROSSOVER <= sigma < 1.0:
+            margin = (abs(val) - bound - self.params.target_abs_error
+                      - 2.0 * _EPS * abs(val))  # its rounding
+            if margin > 0.0:
+                # the 3-term form's powers: the first head terms, and q^-sigma
+                # at q = M + a, the head term n = M
+                terms = powers[0]
+                return sgn, self._ball_radius(sigma, sgn, margin, terms,
+                                              terms[SIGN_HEAD_TERMS], bounds)
+        return sgn, 0.0
 
-    def _loose_sign(self, sigma: float):
+    def _loose_sign(self, sigma: float, bounds=None):
         """`sign`'s loose-sum rung: (sign, r) where the loose sum certifies
-        the sign of zeta(sigma, a), else None.  zeta keeps that sign on
-        the exclusion ball [sigma, sigma + r]: r is `_ball_radius`'s on
-        [-3, 1), and 0.0 below -3."""
+        the sign of zeta(sigma, a), else None.  zeta keeps that sign on the
+        exclusion ball [sigma, sigma + r], or, given slope `bounds` over a
+        span around sigma (a bisection's, `_bracket_bounds`), on [sigma -
+        r, sigma + r] inside that span: r is `_ball_radius`'s on [-3, 1),
+        and 0.0 below -3."""
         if sigma < FOURIER_CROSSOVER:
             plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
             if plan is not None:
@@ -487,7 +559,8 @@ class Evaluator:
             if margin > 0.0:
                 sgn = 1 if val > 0.0 else -1
                 margin -= 2.0 * _EPS * abs(val)  # its rounding
-                return sgn, self._ball_radius(sigma, sgn, margin, powers)
+                return sgn, self._ball_radius(sigma, sgn, margin, powers[0],
+                                              powers[2], bounds)
         return None
 
     def sign_changes(self, lo: float, step: float, n: int):
@@ -497,8 +570,8 @@ class Evaluator:
         sampled points x < y of opposite signs.  Every sign is taken before
         this returns, so a failing grid point raises before any bisection.
 
-        Each point takes its loose sign, else its full value's.  Where the
-        loose sum leaves a ball [x, x + r], every later grid point in it
+        Each point takes its loose sign, else its full value's.  Where
+        either leaves a ball [x, x + r], every later grid point in it
         has x's sign, so the walk records x's sign change first and then
         goes on from the last grid point in the ball: an index estimate,
         corrected by the ball's own test, spares testing each of the ~480
@@ -509,8 +582,7 @@ class Evaluator:
         i = 0
         while i < n:
             x = lo + i * step
-            loose = self._loose_sign(x)
-            sx, r = (self._value_sign(x), 0.0) if loose is None else loose
+            sx, r = self._loose_sign(x) or self._value_sign(x)
             if sx == 0:
                 if i:  # the first point only opens the first bracket
                     events.append((x, x, 0))
@@ -529,105 +601,150 @@ class Evaluator:
 
     def bisect(self, lo: float, hi: float, slo: int):
         """`bisect_sign` on [lo, hi], whose ends have the signs slo and
-        -slo, to half-width <= the params target: (x, half-width).  Steps
-        take loose signs up to the first one the loose sum leaves
+        -slo, to half-width <= the params target: (x, half-width).
+
+        On [-3, 1) every certified value, loose sum or full value, leaves
+        an exclusion ball, two-sided inside the bracket, whose slope bounds
+        `_bracket_bounds` takes once.  The latest ball of each sign is
+        kept, and a midpoint inside one takes its sign with no sum.  Other
+        steps take loose signs up to the first one the loose sum leaves
         uncertified, then full values: later steps are closer to the zero,
         where loose sums seldom certify.  Each sign is `sign`'s, unless a
-        full value raises at a step a loose sum would have certified."""
+        full value raises at a step a ball or a loose sum would have
+        certified."""
+        bounds = self._bracket_bounds(lo, hi)
         loose = True
+        # the latest ball of each sign, (centre, radius); none yet
+        lo_c, lo_r, hi_c, hi_r = lo, 0.0, hi, 0.0
 
         def sign(x: float) -> int:
-            nonlocal loose
+            nonlocal loose, lo_c, lo_r, hi_c, hi_r
+            if abs(x - lo_c) <= lo_r:
+                return slo
+            if abs(x - hi_c) <= hi_r:
+                return -slo
+            got = None
             if loose:
-                got = self._loose_sign(x)
-                if got is not None:
-                    return got[0]
-                loose = False
-            return self._value_sign(x)
+                got = self._loose_sign(x, bounds)
+                loose = got is not None
+            s, r = got or self._value_sign(x, bounds)
+            if r and bounds:
+                if s == slo:
+                    lo_c, lo_r = x, r
+                else:
+                    hi_c, hi_r = x, r
+            return s
 
         return bisect_sign(sign, lo, hi, slo, self.params.target_abs_error)
 
-    def _ball_radius(self, sigma: float, sgn: int, margin: float,
-                     powers) -> float:
+    def _bracket_bounds(self, lo: float, hi: float):
+        """A bisection's slope bounds (rho, P2): `_slope_bounds` on its
+        bracket [lo, hi], from the powers at the bracket's ends, where -3
+        <= lo and hi < 1; else None."""
+        if not (FOURIER_CROSSOVER <= lo and hi < 1.0):
+            return None
+        consts = self._consts()
+        q, ln_a, logs2 = consts[0], consts[2], consts[5]
+        a = self.a
+        fixed = sum(logs2[n] * (n + a) ** -lo for n in range(1, len(logs2)))
+        ea = -hi * ln_a  # ln a^-hi; past 690, P2 = inf and balls have r = 0
+        a_hi = math.exp(ea) if ea < 690.0 else math.inf
+        return _slope_bounds(consts, lo, hi, fixed, q ** -lo, a_hi)
+
+    def _consts(self):
+        """`_em_slope_consts(a)`, computed on first use."""
+        consts = self._em_slopes
+        if consts is None:
+            consts = self._em_slopes = _em_slope_consts(self.a)
+        return consts
+
+    def _ball_radius(self, sigma: float, sgn: int, margin: float, heads,
+                     q_s: float, bounds=None) -> float:
         """r >= 0 with zeta(., a) of sign `sgn` and |zeta| > |zeta(sigma, a)|
-        - margin on [sigma, sigma + r], if -3 <= sigma < 1, 0 < margin <
-        |zeta(sigma, a)| and sgn is its sign: `_loose_sign`'s exclusion ball.
-        `powers` are the loose sum's (`_em_float` at M = `SIGN_HEAD_TERMS`).
-        Euler-Maclaurin's slope bound serves on (-1, 1), Hurwitz's
-        (`_fourier_ball_radius`) on [-3, 0), and where both do the larger
-        ball stands: Hurwitz's near -1, Euler-Maclaurin's elsewhere.
+        - margin on [sigma, sigma + r], or, given `_slope_bounds` (rho, P2)
+        over a span around sigma, on [sigma - r, sigma + r] inside that
+        span, if -3 <= sigma < 1, 0 < margin < |zeta(sigma, a)| and sgn is
+        its sign: the exclusion ball of a certified value.  heads[n] = (n +
+        a)^-sigma for n < M and q_s = q^-sigma, q = M + a, M =
+        `SIGN_HEAD_TERMS`, are powers from the value's own sum.
 
-        With q = M + a, two corrections and the periodic B_5 remainder
-        (Apostol Ch. 12), for s > -4, zeta(s, a) = sum_(n<M) (n+a)^-s +
-        q^(1-s)/(s-1) + q^-s/2 + s q^(-s-1)/12 - (s)_3 q^(-s-3)/720 + R,
-        R = -(s)_5/5! int_M^oo B5~(x) (x+a)^(-s-5) dx, (s)_k the rising
-        factorial.  So zeta' = P + R', P the derivative of the rest:
-        P(s) = -sum ln(n+a) (n+a)^-s - q^u (1 - u ln q)/u^2 - (ln q/2) q^-s
-        + q^(-s-1) (1 - s ln q)/12 - q^(-s-3) ((s)_3' - (s)_3 ln q)/720, u =
-        1 - s.  |B5~|/5! <= 2 zeta(5)/(2 pi)^5 = c, int_M^oo (x+a)^(-b-1) =
-        q^-b/b and int ln(x+a) (x+a)^(-b-1) = q^-b (ln q/b + 1/b^2), so
-        with b = s + 4 > 3, |(s)_5| <= 120 and |(s)_5'| <= 274 for |s| < 1:
-        |R'| <= rho = c q^(-sigma-4) (274/3 + 120 (ln q/3 + 1/9)) on the
-        ball.  P' = sum ln^2(n+a) (n+a)^-s - q^u ((u ln q - 1)^2 + 1)/u^3 +
-        (ln^2 q/2) q^-s + q^(-s-1) ln q (s ln q - 2)/12 - q^(-s-3) ((s)_3''
-        - 2 (s)_3' ln q + (s)_3 ln^2 q)/720, so on [sigma, sigma + t] |P'| <=
-        P2(t) = ln^2 a a^(-sigma-t) + sum_(1<=n<M) ln^2(n+a) (n+a)^-sigma +
-        q^(1-sigma) ((u ln q - 1)^2 + 1)/e^3 + q^-sigma (ln^2 q/2 + ln q (2
-        + ln q)/(12 q) + (12 + 22 ln q + 6 ln^2 q)/(720 q^3)), e = 1 -
-        sigma - t and u at its worse end of {1 - sigma, e}: a^-s rises in
-        s, the other powers fall, the square is convex in u, and |(s)_3''|
-        <= 12, |(s)_3'| <= 11, |(s)_3| <= 6.  P2 does not decrease in t.
-        For y in [sigma, sigma + t], sgn zeta'(y) >= sgn P(sigma) - rho -
-        (y - sigma) P2(t), so zeta keeps its sign and |zeta| falls by at
-        most r (rho - sgn P(sigma)) + r^2 P2/2 <= margin on [sigma, sigma +
-        r], r <= t (the left side is convex in r, so its end bounds it).  r
-        solves that quadratic with P2 at the cap (1 - sigma)/2, halfway to
-        the pole (there a^(-sigma-t) = sqrt(a^-sigma) a^(-1/2)), and again
-        with P2 at 2r, r at most doubling, where r < 1/4 of the cap.
-        P(sigma) takes the loose sum's powers; 1e-12 times the sum of its
-        terms' sizes covers its rounding, and a factor 1 + 1e-12 that of rho
-        and P2.  The logarithms and q-only factors are kept per a, so this
-        bound makes no `pow`: one sqrt, and one exp where r < 1/4 of the
-        cap.
+        With two corrections and the periodic B_5 remainder (Apostol
+        Ch. 12), for s > -4, zeta(s, a) = sum_(n<M) (n+a)^-s + q^(1-s)/(s-1)
+        + q^-s/2 + s q^(-s-1)/12 - (s)_3 q^(-s-3)/720 + R, R = -(s)_5/5!
+        int_M^oo B5~(x) (x+a)^(-s-5) dx, (s)_k the rising factorial.  So
+        zeta' = P + R', P the derivative of the rest: P(s) = -sum ln(n+a)
+        (n+a)^-s - q^u (1 - u ln q)/u^2 - (ln q/2) q^-s + q^(-s-1) (1 - s
+        ln q)/12 - q^(-s-3) ((s)_3' - (s)_3 ln q)/720, u = 1 - s, and P' =
+        sum ln^2(n+a) (n+a)^-s - q^u ((u ln q - 1)^2 + 1)/u^3 + (ln^2 q/2)
+        q^-s + q^(-s-1) ln q (s ln q - 2)/12 - q^(-s-3) ((s)_3'' - 2 (s)_3'
+        ln q + (s)_3 ln^2 q)/720.  `_slope_bounds` bounds |R'| by rho and
+        |P'| by P2 over a span.  P(sigma) takes `heads` and q_s, with sign;
+        1e-12 times the sum of its terms' sizes covers its rounding.
+
+        Inside the span, |zeta'(y)| <= |P(sigma)| + rho + |y - sigma| P2,
+        so zeta keeps its sign and |zeta| falls by at most r (rho +
+        |P(sigma)|) + r^2 P2/2 <= margin within r of sigma, either way: r
+        solves that quadratic.  Forward, sgn zeta'(y) >= sgn P(sigma) - rho
+        - (y - sigma) P2, so |zeta| falls by at most r (rho - sgn P(sigma))
+        + r^2 P2/2 over [sigma, sigma + r], with rho and P2 on [sigma,
+        sigma + t], r <= t (the left side is convex in r, so its end bounds
+        it).  t is u, at most d/2, halfway to the pole (d = 1 - sigma), and
+        at most the root with rho = 0 and P2 at t = 0 without its
+        Pochhammer terms, which bounds r; where r < u/4 it solves again at
+        t = 2r, r at most doubling.
+        On [-3, 0) Hurwitz's ball (`_fourier_radius`) serves too, and the
+        larger stands: the one with the larger bound (u, or u1 = min(d/2,
+        margin/L(0)) for Hurwitz's) goes first, the other only where its
+        bound passes the first's radius.  Where a^(-sigma-t) passes e^690,
+        no Euler-Maclaurin ball forms, so that P2 stays a float.
         """
-        r = 0.0
-        if sigma > -1.0:
-            terms, q_d, q_s = powers
-            consts = self._em_slopes
-            if consts is None:
-                consts = self._em_slopes = _em_slope_consts(self.a)
-            ln_q, logs, logs2, a_root, c1, c2, rho_q, p2_q = consts
-            d = 1.0 - sigma
-            ln_a, h0 = logs[0], terms[0]
-            g = (1.0 - d * ln_q) / (d * d)
-            head = sum(map(operator.mul, logs, terms))
-            half = 0.5 * ln_q * q_s
-            t1 = c1 * q_s * (1.0 - sigma * ln_q)
-            t2 = c2 * q_s * (3.0 * sigma * sigma + 6.0 * sigma + 2.0
-                             - sigma * (sigma + 1.0) * (sigma + 2.0) * ln_q)
-            # -P(sigma) = head + q_d g + half - t1 + t2; size sums |terms|
-            size = (head - 2.0 * ln_a * h0 + q_d * abs(g) + half + abs(t1)
-                    + abs(t2))
-            # r slope + r^2 P2/2 <= margin, slope = rho - sgn P(sigma)
-            slope = (rho_q * q_s + 1e-12 * size
-                     + sgn * (head + q_d * g + half - t1 + t2))
-            fixed = sum(map(operator.mul, logs2, terms)) + p2_q * q_s
-
-            def radius(t, a_t):  # a_t = a^(-sigma-t)
-                e = d - t
-                w = max(d * ln_q - 1.0, 1.0 - e * ln_q)
-                p2 = (1.0 + 1e-12) * (ln_a * ln_a * a_t + fixed
-                                      + q_d * (w * w + 1.0) / (e * e * e))
-                root = math.sqrt(slope * slope + 2.0 * p2 * margin)
-                return min(t, 2.0 * margin / (slope + root) if slope > 0.0
-                           else (root - slope) / p2)
-
-            cap = 0.5 * d
-            r = radius(cap, math.sqrt(h0) * a_root)
-            if r < 0.25 * cap:
-                r = radius(2.0 * r, h0 * math.exp(-2.0 * r * ln_a))
+        consts = self._consts()
+        q, ln_q, ln_a, ln_a2, logs, logs2, c1, c2, _, p2_0 = consts[:10]
+        d = 1.0 - sigma
+        q_d = q * q_s
+        g = (1.0 - d * ln_q) / (d * d)
+        head = sum(map(operator.mul, logs, heads))
+        half = 0.5 * ln_q * q_s
+        t1 = c1 * q_s * (1.0 - sigma * ln_q)
+        t2 = c2 * q_s * (3.0 * sigma * sigma + 6.0 * sigma + 2.0
+                         - sigma * (sigma + 1.0) * (sigma + 2.0) * ln_q)
+        minus_p = head + q_d * g + half - t1 + t2
+        # size sums the terms' sizes
+        size = (head - 2.0 * ln_a * heads[0] + q_d * abs(g) + half + abs(t1)
+                + abs(t2))
+        if bounds is not None:
+            rho, p2 = bounds
+            return _quadratic_root(rho + 1e-12 * size + abs(minus_p), p2,
+                                   margin)
+        # r slope + r^2 P2/2 <= margin, slope = rho - sgn P(sigma)
+        slope = 1e-12 * size + sgn * minus_p
+        fixed = sum(map(operator.mul, logs2, heads))
+        w = d * ln_q - 1.0
+        u = min(0.5 * d, _quadratic_root(
+            slope, ln_a2 * heads[0] + fixed + q_d * (w * w + 1.0) / (d * d * d)
+            + q_s * p2_0, margin))
+        r = u1 = 0.0
         if sigma < 0.0:
-            r = max(r, _fourier_ball_radius(sigma, margin))
+            u1 = min(-0.5 * sigma, margin / _fourier_slope(sigma, 0.0))
+            if u1 > u:
+                r = _fourier_radius(sigma, margin, u1)
+        if u > r:
+            t = u
+            while True:
+                # ln a^(-sigma-t); past 690 its ln^2 a multiple in P2 could
+                # overflow a float (ln^2 a < e^14)
+                ea = -(sigma + t) * ln_a
+                if ea > 690.0:
+                    break
+                rho, p2 = _slope_bounds(consts, sigma, sigma + t, fixed, q_s,
+                                        math.exp(ea))
+                r_em = min(t, _quadratic_root(slope + rho, p2, margin))
+                if t < u or r_em >= 0.25 * t:
+                    r = max(r, r_em)
+                    break
+                t = 2.0 * r_em
+            if r < u1 <= u:  # Euler-Maclaurin's went first
+                r = max(r, _fourier_radius(sigma, margin, u1))
         return r
 
     def _fourier_plan(self, sigma: float, target: float):

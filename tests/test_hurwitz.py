@@ -25,7 +25,8 @@ from hurwitz_real_zeros.hurwitz import (
     SIGN_SCAN_TARGET,
     SMALL_X_THRESHOLD,
     _EPS,
-    _fourier_ball_radius,
+    _fourier_radius,
+    _fourier_slope,
     _integrand_G_direct,
     check_shift,
     gamma_real,
@@ -427,14 +428,16 @@ def _strip_grid(N, points):
 
 
 def _count_full_calls(monkeypatch):
+    # every full value, the public call's and `sign`'s, goes through
+    # `_evaluate`
     calls = [0]
-    full = Evaluator.__call__
+    full = Evaluator._evaluate
 
     def counted(self, sigma):
         calls[0] += 1
         return full(self, sigma)
 
-    monkeypatch.setattr(Evaluator, "__call__", counted)
+    monkeypatch.setattr(Evaluator, "_evaluate", counted)
     return calls
 
 
@@ -556,11 +559,18 @@ def test_signs_match_scalar_on_float_em_random(sigmas, a):
 
 
 def _ball_radius(sigma, a, margin):
-    """`Evaluator(a)._ball_radius` at sigma, with its loose sum's powers
-    and sign."""
+    """`Evaluator(a)._ball_radius` at sigma, forward, with its loose sum's
+    powers and sign."""
     ev = Evaluator(a)
     val, _, powers = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
-    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, powers)
+    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, powers[0],
+                           powers[2])
+
+
+def _hurwitz_radius(sigma, margin):
+    """Hurwitz's forward ball alone, as `_ball_radius` takes it."""
+    return _fourier_radius(sigma, margin, min(
+        -0.5 * sigma, margin / _fourier_slope(sigma, 0.0)))
 
 
 def _assert_ball_holds(sigma, a, points):
@@ -573,10 +583,8 @@ def _assert_ball_holds(sigma, a, points):
         return False
     ball_sign, radius = loose
     sign = Evaluator(a).sign(sigma)
-    # the ball stays inside the range its slope bounds hold on: s < 1 for
-    # Euler-Maclaurin's (on s > -1), s < 0 for the Fourier series' alone
-    end = 1.0 if sigma > -1.0 else 0.0
-    assert ball_sign == sign and 0.0 <= radius and sigma + radius < end
+    # the ball stays halfway to the pole, inside the slope bounds' range
+    assert ball_sign == sign and 0.0 <= radius <= (1.0 - sigma) / 2.0
     target = EvalParams().target_abs_error
     with mpmath.workdps(30):
         for i in range(points):
@@ -595,33 +603,31 @@ def test_exclusion_balls_hold_against_mpmath():
 
 
 def test_em_exclusion_balls_hold_against_mpmath():
-    # balls from the Euler-Maclaurin slope bound, on (-1, 1): both sides of
-    # sigma = 0, next to the pole, and next to -1, where the Fourier
-    # series' ball can be the larger
+    # balls from the Euler-Maclaurin slope bound, on [-3, 1): both sides of
+    # sigma = 0, next to the pole, and below -1, where the Fourier series'
+    # ball is often the larger
     rng = random.Random(4321)
     for a in (0.01, 0.45, 0.5, 1.0, rng.uniform(0.0, 1.0) or 1.0):
         balls = 0
         while balls < 12:
             sigma = (rng.uniform(0.95, 1.0) if balls % 4 == 0
-                     else rng.uniform(-1.0, 1.0))
-            if -1.0 < sigma < 1.0:
+                     else rng.uniform(-3.0, 1.0))
+            if -3.0 <= sigma < 1.0:
                 balls += _assert_ball_holds(sigma, a, 9)
 
 
 def test_exclusion_slope_bound_covers_the_derivative():
-    # the helper's pref * L1(s), read back from a radius at a tiny margin,
-    # is at least pref * ((pi/2) zeta(s) - zeta'(s)) >= pref * |S'(s)|, for
-    # every a, at s >= 1.3
+    # the helper's pref * L1(s) is at least pref * ((pi/2) zeta(s) -
+    # zeta'(s)) >= pref * |S'(s)|, for every a, at s >= 1.3
     rng = random.Random(77)
     for s in [1.3, 4.0] + [rng.uniform(1.3, 4.0) for _ in range(30)]:
-        sigma, margin = 1.0 - s, 1e-9
-        radius = _fourier_ball_radius(sigma, margin)
+        sigma = 1.0 - s
         with mpmath.workdps(30):
             s_mp = 1 - mpmath.mpf(sigma)
             pref = 2 * mpmath.gamma(s_mp) / (2 * mpmath.pi) ** s_mp
             slope = (mpmath.pi / 2 * mpmath.zeta(s_mp)
                      - mpmath.zeta(s_mp, 1, 1))
-            assert margin / radius >= pref * slope, s
+            assert _fourier_slope(sigma, 0.0) >= pref * slope, s
 
 
 def test_prefactor_rises_with_sigma_on_float_em_strips():
@@ -633,20 +639,44 @@ def test_prefactor_rises_with_sigma_on_float_em_strips():
 
 @pytest.mark.parametrize("sigma", [-5e-324, -1e-17, -3.0])
 def test_exclusion_radius_at_strip_ends_is_finite(sigma):
-    # the ends of N = 0..2: both slope bounds serve next to sigma = 0, and
-    # the larger ball stands; the Fourier series' alone at -3
+    # the ends of N = 0..2: both slope bounds serve, and the larger ball
+    # stands
     for a in (1e-300, 0.3, 1.0):
         for margin in (5e-324, 1e-10, 1.0):
             radius = _ball_radius(sigma, a, margin)
-            assert _fourier_ball_radius(sigma, margin) <= radius < math.inf
+            assert _hurwitz_radius(sigma, margin) <= radius < math.inf
+
+
+#: The zeros of zeta(., a) on the strips N = -1..2, each with a sign change
+#: of `mpmath.zeta` at 30 digits within 1e-12 of it (`mpmath.findroot`
+#: from a scan): the ball tests place points next to them without locating
+#: them with the evaluator under test.
+_EM_ZEROS = {
+    1e-300: (-0.001006109709292148,),
+    1e-6: (-0.057787411479888424,),
+    0.01: (0.9895692295389451, -0.23623858907326395, -2.052502495748431),
+    0.1: (0.8732677483264984, -0.6222024028586, -2.449581311167601),
+    0.14533616183328069: (0.8024000252338879, -0.778527397219046,
+                          -2.6311539756477558),
+    0.3: (0.5059538447012722, -1.2979485679044103),
+    0.5: (),
+    0.6: (-0.30738557642821457, -2.3726532676436864),
+    0.77: (-0.9241493255991118,),
+    1.0: (),
+}
+
+
+def _em_zeros(a):
+    """The zeros of zeta(., a) on N = -1..2 (`_EM_ZEROS`)."""
+    return _EM_ZEROS[a]
 
 
 def _em_ball_cases():
     """(sigma, a) where `Evaluator(a)._loose_sign` may return a ball from
     the Euler-Maclaurin bound: a in {1e-300, 1e-6, 0.01, 0.5, 1, seeded},
-    sigma next to the pole (1 - 10^-k), next to -1, next to a zero of N =
-    -1 or 0 (closing in on it from the left, and just past it) and
-    spread over (-1, 1)."""
+    sigma next to the pole (1 - 10^-k), next to -1, -2 and -3, next to a
+    zero of N = -1..2 (closing in on it from either side) and spread over
+    [-3, 1)."""
     rng = random.Random(79)
     cases = []
     for a in (1e-300, 1e-6, 0.01, 0.5, 1.0, rng.uniform(0.0, 1.0) or 1.0):
@@ -654,10 +684,12 @@ def _em_ball_cases():
         sigmas += [-1.0 + 10.0 ** -k for k in (1, 3, 9)]
         sigmas += [rng.uniform(-1.0, 1.0) for _ in range(4)]
         sigmas += [0.01 * k for k in range(-8, 5)]  # a -> 0 certifies here
-        for N in (-1, 0):
-            for z in locate_zeros(N, a, 64, EvalParams(1e-6)):
-                sigmas += [z.sigma + d for d in (-1e-1, -1e-2, -1e-3, 1e-3)]
-        cases += [(s, a) for s in sigmas if -1.0 < s < 1.0]
+        sigmas += [n + 10.0 ** -k for n in (-2.0, -3.0) for k in (1, 3, 9)]
+        sigmas += [-1.0 - 1e-3, -2.0 - 1e-3, -3.0]
+        sigmas += [rng.uniform(-3.0, -1.0) for _ in range(2)]
+        for z in _em_zeros(a):
+            sigmas += [z + d for d in (-1e-1, -1e-2, -1e-3, 1e-3, 1e-2)]
+        cases += [(s, a) for s in sigmas if -3.0 <= s < 1.0]
     return cases
 
 
@@ -677,33 +709,90 @@ def _em_ball(sigma, a):
     return sgn, margin, radius
 
 
-def test_em_ball_keeps_its_sign_within_its_margin():
-    # sgn zeta(y) >= sgn zeta(sigma) - margin > target at 9 points across
-    # the ball and at its end, at 30 digits: the ball's own claim
+def _assert_keeps_sign(sigma, a, sgn, margin, lo, hi):
+    """sgn zeta(y) >= sgn zeta(sigma) - margin > target at 10 points
+    across [lo, hi] (its ends included), at 30 digits: a ball's claim."""
     target = EvalParams().target_abs_error
+    with mpmath.workdps(30):
+        start = sgn * mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
+        for i in range(10):
+            y = mpmath.mpf(lo) + (mpmath.mpf(hi) - mpmath.mpf(lo)) * i / 9
+            z = sgn * mpmath.zeta(y, mpmath.mpf(a))
+            assert z >= start - margin and z > target, (sigma, a, lo, hi, i)
+
+
+def test_em_ball_keeps_its_sign_within_its_margin():
+    # the loose sums' forward balls, the walk's, on all of [-3, 1)
     balls = 0
     for sigma, a in _em_ball_cases():
         ball = _em_ball(sigma, a)
-        if ball is None:
-            continue
-        sgn, margin, radius = ball
-        balls += 1
-        with mpmath.workdps(30):
-            start = sgn * mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
-            for i in range(10):
-                y = mpmath.mpf(sigma) + mpmath.mpf(radius) * i / 9
-                z = sgn * mpmath.zeta(y, mpmath.mpf(a))
-                assert z >= start - margin and z > target, (sigma, a, i)
-    assert balls >= 150
+        if ball is not None:
+            sgn, margin, radius = ball
+            balls += 1
+            _assert_keeps_sign(sigma, a, sgn, margin, sigma, sigma + radius)
+    assert balls >= 180
 
 
-def _em_slope_terms(sigma, a, t):
-    """(P(sigma), rho, P2(t)) of `Evaluator._ball_radius`'s Euler-Maclaurin
-    bound at 30 digits: P by differentiating the two-correction form,
-    rho and P2 from the docstring's formulas."""
-    a, t = mpmath.mpf(a), mpmath.mpf(t)
+def test_bracket_balls_keep_their_sign_on_both_halves():
+    # a bisection's balls, from loose sums and from full values, each
+    # two-sided inside its bracket [sigma - h, sigma + h] (h a 512-point
+    # grid step): next to zeros of N = -1..2, on both sides of each
+    target = EvalParams().target_abs_error
+    h = 1.0 / 511.0
+    balls = 0
+    for a in (1e-6, 0.01, 0.1, 0.3, 0.6, 0.77):
+        for z in _em_zeros(a):
+            for d in (-1e-3, -1e-5, -1e-7, 1e-7, 1e-5, 1e-3):
+                sigma = z + d
+                lo, hi = max(-3.0, sigma - h), min(sigma + h, 1.0 - 1e-9)
+                ev = Evaluator(a)
+                bounds = ev._bracket_bounds(lo, hi)
+                found = [(ev._value_sign(sigma, bounds), ev(sigma))]
+                loose = ev._loose_sign(sigma, bounds)
+                if loose is not None:
+                    found.append((loose, ev._em_float(
+                        sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)))
+                for (sgn, radius), (val, bound, _) in found:
+                    margin = (abs(val) - bound - target
+                              - 2.0 * _EPS * abs(val))
+                    assert radius == 0.0 or margin > 0.0
+                    if radius:
+                        balls += 1
+                        _assert_keeps_sign(sigma, a, sgn, margin,
+                                           max(lo, sigma - radius),
+                                           min(hi, sigma + radius))
+    assert balls >= 100
+
+
+def _mp_slope_bounds(lo, hi, a):
+    """(rho, P2) of `_slope_bounds` on [lo, hi] from its docstring's
+    formulas at 30 digits, each factor at its worse end."""
+    lo, hi, a = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(a)
     q = SIGN_HEAD_TERMS + a
     lq = mpmath.log(q)
+    m = [max(abs(lo + k), abs(hi + k)) for k in range(5)]
+    s3 = m[0] * m[1] * m[2]
+    s3d = m[0] * m[1] + (m[0] + m[1]) * m[2]
+    s5, s5d = s3 * m[3] * m[4], s3d * m[3] * m[4] + s3 * (m[3] + m[4])
+    b, e = lo + 4, 1 - hi
+    w = max(abs((1 - lo) * lq - 1), abs(e * lq - 1))
+    rho = (2 * mpmath.zeta(5) / (2 * mpmath.pi) ** 5 * q ** (-lo - 4)
+           * (s5d + s5 * (lq + 1 / b)) / b)
+    p2 = (mpmath.log(a) ** 2 * a ** -hi
+          + sum(mpmath.log(n + a) ** 2 * (n + a) ** -lo
+                for n in range(1, SIGN_HEAD_TERMS))
+          + q ** (1 - lo) * (w ** 2 + 1) / e ** 3
+          + q ** -lo * (lq ** 2 / 2 + lq * (2 + m[0] * lq) / (12 * q)
+                        + (6 * m[1] + 2 * s3d * lq + s3 * lq ** 2)
+                        / (720 * q ** 3)))
+    return rho, p2
+
+
+def _em_slope(sigma, a):
+    """P(sigma) of `Evaluator._ball_radius` at 30 digits, by
+    differentiating the two-correction form."""
+    a = mpmath.mpf(a)
+    q = SIGN_HEAD_TERMS + a
 
     def em_part(s):
         return (sum((n + a) ** -s for n in range(SIGN_HEAD_TERMS))
@@ -711,46 +800,46 @@ def _em_slope_terms(sigma, a, t):
                 + s * q ** (-s - 1) / 12
                 - s * (s + 1) * (s + 2) * q ** (-s - 3) / 720)
 
-    s = mpmath.mpf(sigma)
-    d, e = 1 - s, 1 - s - t
-    p = mpmath.diff(em_part, s)
-    rho = (2 * mpmath.zeta(5) / (2 * mpmath.pi) ** 5 * q ** (-s - 4)
-           * (mpmath.mpf(274) / 3 + 120 * (lq / 3 + mpmath.mpf(1) / 9)))
-    w = max(abs(d * lq - 1), abs(e * lq - 1))
-    p2 = (mpmath.log(a) ** 2 * a ** (-s - t)
-          + sum(mpmath.log(n + a) ** 2 * (n + a) ** -s
-                for n in range(1, SIGN_HEAD_TERMS))
-          + q ** d * (w ** 2 + 1) / e ** 3
-          + q ** -s * (lq ** 2 / 2 + lq * (2 + lq) / (12 * q)
-                       + (12 + 22 * lq + 6 * lq ** 2) / (720 * q ** 3)))
-    return p, rho, p2
+    return mpmath.diff(em_part, mpmath.mpf(sigma))
 
 
 def test_em_ball_derivative_bound_holds():
-    # |zeta'(y) - P(sigma)| <= rho + (y - sigma) P2(t) on [sigma, sigma + t],
-    # for t the ball's radius and the cap (1 - sigma)/2, at 30 digits, where
-    # a ball forms (so |zeta| and a^-sigma stay well inside 30 digits)
+    # for spans [sigma - t, sigma + t], t the forward ball's radius and the
+    # cap min(1 - sigma, sigma + 4)/2: the bracket bounds the evaluator
+    # takes are at least the docstring's (rho, P2) with each factor at its
+    # worse end, and |zeta'(y) - P(sigma)| <= rho + |y - sigma| P2 there,
+    # at 30 digits, where a ball forms (so |zeta| and a^-sigma stay well
+    # inside 30 digits)
     checked = 0
     for sigma, a in _em_ball_cases():
         ball = _em_ball(sigma, a)
         if ball is None:
             continue
-        for t in {ball[2], (1.0 - sigma) / 2.0}:
+        for t in {ball[2], min(1.0 - sigma, sigma + 4.0) / 2.0}:
+            lo, hi = sigma - t, sigma + t
+            if hi >= 1.0:
+                continue
             checked += 1
+            rho, p2 = Evaluator(a)._bracket_bounds(max(lo, -3.0), hi) if (
+                lo >= -3.0) else (math.inf, math.inf)
             with mpmath.workdps(30):
-                p, rho, p2 = _em_slope_terms(sigma, a, t)
+                mp_rho, mp_p2 = _mp_slope_bounds(lo, hi, a)
+                if lo >= -3.0:
+                    assert rho >= mp_rho and p2 >= mp_p2, (sigma, a, t)
+                p = _em_slope(sigma, a)
                 for i in range(9):
-                    dy = mpmath.mpf(t) * i / 8
+                    dy = mpmath.mpf(t) * (i - 4) / 4
                     slope = mpmath.zeta(sigma + dy, mpmath.mpf(a), 1)
-                    assert abs(slope - p) <= rho + dy * p2, (sigma, a, t, i)
+                    assert abs(slope - p) <= mp_rho + abs(dy) * mp_p2, (
+                        sigma, a, t, i)
     assert checked >= 300
 
 
 @pytest.mark.parametrize("a", [1e-300, 1e-6, 0.3, 1.0])
 def test_em_exclusion_radius_at_range_ends_is_finite(a):
-    # both sides of sigma = -1, where the Euler-Maclaurin bound starts to
-    # serve, and next to the pole
-    for sigma in (-1.0 - 1e-9, -1.0, -1.0 + 1e-9, 0.99, 1.0 - 1e-15):
+    # both sides of -1 and -2, at -3, and next to the pole
+    for sigma in (-3.0, -2.0 - 1e-9, -2.0, -1.0 - 1e-9, -1.0, -1.0 + 1e-9,
+                  0.99, 1.0 - 1e-15):
         for margin in (5e-324, 1.0):
             radius = _ball_radius(sigma, a, margin)
             assert 0.0 <= radius < math.inf

@@ -220,13 +220,13 @@ def test_scans_count_their_walk_and_bisection_sums(monkeypatch):
             log.append("bisect")
             return super().bisect(*args)
 
-        def _loose_sign(self, sigma):
+        def _loose_sign(self, sigma, *args):
             self.walk_points += self.walking
-            return super()._loose_sign(sigma)
+            return super()._loose_sign(sigma, *args)
 
-        def __call__(self, sigma):
+        def _evaluate(self, sigma):
             log.append("full")
-            return super().__call__(sigma)
+            return super()._evaluate(sigma)
 
         def _em_float(self, sigma, M, target):
             if M == SIGN_HEAD_TERMS:
@@ -240,30 +240,35 @@ def test_scans_count_their_walk_and_bisection_sums(monkeypatch):
     monkeypatch.setattr(zero_analysis, "Evaluator", CountedEvaluator)
     monkeypatch.setattr(zero_analysis, "hurwitz_zeta", count_scalar)
     # one evaluator per scan, and each located zero makes one scalar call
-    # for its residual.  The walk takes its signs at the 24 grid points
+    # for its residual.  The walk takes its signs at the 21 grid points
     # that no ball from an earlier one covers, each one loose sum, counted
     # where it runs, all before the one bisection; neither half calls sign
     assert len(locate_zeros(1, 0.4, 512)) == 1
-    assert [ev.walk_points for ev in made] == [24] and scalar_calls[0] == 1
+    assert [ev.walk_points for ev in made] == [21] and scalar_calls[0] == 1
     assert log.count("walk") == 1 and log.count("bisect") == 1
     walk = log[log.index("walk") + 1:log.index("walked")]
-    assert walk.count("loose") == 24
+    assert walk.count("loose") == 21
     assert log.index("walked") < log.index("bisect")
     assert uniqueness_check(2, 0.3) == 1
     assert [ev.signs for ev in made] == [0, 510]
     assert scalar_calls[0] == 1
     # no loose sum runs in a bisection after its first step that no loose
-    # sum certifies (these bisections make 1, 3, 1 and 5 of 24), and that
-    # step's own loose sum runs just before its full value
-    for N, a in ((1, 0.4), (0, 0.1), (2, 0.6), (-1, 0.3)):
+    # sum certifies (these bisections make 1, 2, 1 and 3), and that step's
+    # own loose sum runs just before its full value.  Exclusion balls from
+    # earlier steps decide the rest without a sum: these bisections make 12,
+    # 8, 15 and 4 full values where one per step after the loose sums made
+    # 24, 22, 24 and 20
+    for N, a, most in ((1, 0.4, 12), (0, 0.1, 8), (2, 0.6, 15),
+                       (-1, 0.3, 4)):
         log.clear()
         assert locate_zeros(N, a), (N, a)
         steps = " ".join(log).split("bisect")[1:]
-        for bisection in steps:
-            words = bisection.split()
-            first_full = words.index("full")
-            assert words[first_full - 1] == "loose", (N, a)
-            assert "loose" not in words[first_full:], (N, a)
+        assert len(steps) == 1, (N, a)
+        words = steps[0].split()
+        first_full = words.index("full")
+        assert words[first_full - 1] == "loose", (N, a)
+        assert "loose" not in words[first_full:], (N, a)
+        assert words.count("full") <= most, (N, a, words.count("full"))
 
 
 def test_one_evaluator_signs_match_fresh_ones_on_float_em_strips():
@@ -289,8 +294,8 @@ def test_float_em_scans_skip_loose_sums_inside_balls(monkeypatch):
         loose[0] += M == SIGN_HEAD_TERMS
         return em_float(self, sigma, M, target)
 
-    def counted_loose_sign(self, sigma):
-        got = loose_sign(self, sigma)
+    def counted_loose_sign(self, sigma, *args):
+        got = loose_sign(self, sigma, *args)
         certified[0] += walking[0] and got is not None
         return got
 
@@ -392,22 +397,24 @@ def _outcome(scan, *args):
 
 def test_walk_and_bisection_rule_change_no_zero():
     # a certified sign is the full value's, so skipping the grid points in
-    # a ball and the loose sums after a bisection's first uncertified step
-    # changes the cost, and the triples or the first error only where a
-    # full value raises at a step a loose sum would have certified, which
-    # no cell here shows, on either side of the mpmath failure at N = 45
+    # a ball, the bisection steps a ball decides and the loose sums after a
+    # bisection's first uncertified step changes the cost, and the triples
+    # or the first error only where a full value raises at a step a ball or
+    # a loose sum would have certified, which no cell here shows, on either
+    # side of the mpmath failure at N = 45.  At 1e-15 guarded mpmath serves
+    # the full values that balls interleave with
     rng = random.Random(16)
     shifts = [rng.uniform(0.0, 1.0) or 1.0 for _ in range(3)]
     cells = 0
     for a in [*shifts, 1.0, 0.5, 0.01, 1e-6, 1e-300]:
         for N in range(-1, 5):
-            for target in (1e-3, 1e-10, 1e-13):
+            for target in (1e-3, 1e-10, 1e-13, 1e-15):
                 for grid_points in (16, 64, 512):
                     args = (N, a, grid_points, EvalParams(target))
                     got = _outcome(locate_zeros, *args)
                     assert got == _outcome(_reference_scan, *args), args
                     cells += isinstance(got, list) and len(got) > 0
-    assert cells >= 140
+    assert cells >= 190
     for N, a in ((8, 0.15), (8, 0.6), (30, 0.15), (30, 0.6), (44, 0.15),
                  (44, 0.6), (45, 0.3), (46, 0.15), (46, 0.6)):
         expected = _outcome(_reference_scan, N, a, 512, EvalParams())
@@ -426,13 +433,13 @@ def test_loose_sums_serve_at_loose_targets(monkeypatch):
         zero_analysis.LocatedZero(*z)
         for z in _full_value_zeros(1, 0.4, params)]
     full = [0]
-    call = zero_analysis.Evaluator.__call__
+    call = zero_analysis.Evaluator._evaluate
 
     def counted(self, sigma):
         full[0] += 1
         return call(self, sigma)
 
-    monkeypatch.setattr(zero_analysis.Evaluator, "__call__", counted)
+    monkeypatch.setattr(zero_analysis.Evaluator, "_evaluate", counted)
     assert locate_zeros(-1, 0.7, params=params) == []
     assert full[0] == 0
 
