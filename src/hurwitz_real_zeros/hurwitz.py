@@ -297,13 +297,6 @@ def _fourier_slope(sigma: float, t: float) -> float:
                + 1.0 / (math.e * (1.0 + e))))
 
 
-def _fourier_radius(sigma: float, margin: float, r1: float) -> float:
-    """Hurwitz's exclusion ball from r1 = min(-sigma/2, margin/L(0)), its
-    bound: min(r1, margin/L(r1)), so L r <= margin with L(r1) >= L(r)
-    (`_fourier_slope`)."""
-    return min(r1, margin / _fourier_slope(sigma, r1))
-
-
 def _quadratic_root(slope: float, p2: float, margin: float) -> float:
     """The r >= 0 with r slope + r^2 p2/2 = margin, for p2, margin > 0."""
     root = math.sqrt(slope * slope + 2.0 * p2 * margin)
@@ -573,9 +566,11 @@ class Evaluator:
         Each point takes its loose sign, else its full value's.  Where
         either leaves a ball [x, x + r], every later grid point in it
         has x's sign, so the walk records x's sign change first and then
-        goes on from the last grid point in the ball: an index estimate,
-        corrected by the ball's own test, spares testing each of the ~480
-        covered points of a 512-point scan on N = -1..2 in turn.
+        goes on from grid index i + int(r/step), stepped back until the
+        point lies in the ball: that spares testing each of the ~480
+        covered points of a 512-point scan on N = -1..2 in turn.  Rounding
+        may leave the last covered point to be tested, which costs a sum
+        and never moves a sign.
         """
         events = []
         prev_x = prev_s = None
@@ -590,8 +585,6 @@ class Evaluator:
                 events.append((prev_x, x, prev_s))
             if r:
                 j = min(n - 1, i + int(r / step))
-                while j + 1 < n and lo + (j + 1) * step - x <= r:
-                    j += 1
                 while lo + j * step - x > r:
                     j -= 1
                 i, x = j, lo + j * step
@@ -687,16 +680,16 @@ class Evaluator:
         solves that quadratic.  Forward, sgn zeta'(y) >= sgn P(sigma) - rho
         - (y - sigma) P2, so |zeta| falls by at most r (rho - sgn P(sigma))
         + r^2 P2/2 over [sigma, sigma + r], with rho and P2 on [sigma,
-        sigma + t], r <= t (the left side is convex in r, so its end bounds
-        it).  t is u, at most d/2, halfway to the pole (d = 1 - sigma), and
-        at most the root with rho = 0 and P2 at t = 0 without its
-        Pochhammer terms, which bounds r; where r < u/4 it solves again at
-        t = 2r, r at most doubling.
-        On [-3, 0) Hurwitz's ball (`_fourier_radius`) serves too, and the
-        larger stands: the one with the larger bound (u, or u1 = min(d/2,
-        margin/L(0)) for Hurwitz's) goes first, the other only where its
-        bound passes the first's radius.  Where a^(-sigma-t) passes e^690,
-        no Euler-Maclaurin ball forms, so that P2 stays a float.
+        sigma + u], r <= u (the left side is convex in r, so its end bounds
+        it).  u is at most d/2, halfway to the pole (d = 1 - sigma), and at
+        most the root with rho = 0 and P2 at sigma alone without its
+        Pochhammer terms, which bounds r.
+        On [-3, 0) Hurwitz's ball comes first: r1 = min(-sigma/2,
+        margin/L(0)), then r = min(r1, margin/L(r1)), so L r <= margin with
+        L(r1) >= L(r) (`_fourier_slope`).  The Euler-Maclaurin ball is
+        solved once, only where u passes r, and the larger stands.  Where
+        a^(-sigma-u) passes e^690, no Euler-Maclaurin ball forms, so that
+        P2 stays a float.
         """
         consts = self._consts()
         q, ln_q, ln_a, ln_a2, logs, logs2, c1, c2, _, p2_0 = consts[:10]
@@ -723,28 +716,17 @@ class Evaluator:
         u = min(0.5 * d, _quadratic_root(
             slope, ln_a2 * heads[0] + fixed + q_d * (w * w + 1.0) / (d * d * d)
             + q_s * p2_0, margin))
-        r = u1 = 0.0
+        r = 0.0
         if sigma < 0.0:
-            u1 = min(-0.5 * sigma, margin / _fourier_slope(sigma, 0.0))
-            if u1 > u:
-                r = _fourier_radius(sigma, margin, u1)
-        if u > r:
-            t = u
-            while True:
-                # ln a^(-sigma-t); past 690 its ln^2 a multiple in P2 could
-                # overflow a float (ln^2 a < e^14)
-                ea = -(sigma + t) * ln_a
-                if ea > 690.0:
-                    break
-                rho, p2 = _slope_bounds(consts, sigma, sigma + t, fixed, q_s,
-                                        math.exp(ea))
-                r_em = min(t, _quadratic_root(slope + rho, p2, margin))
-                if t < u or r_em >= 0.25 * t:
-                    r = max(r, r_em)
-                    break
-                t = 2.0 * r_em
-            if r < u1 <= u:  # Euler-Maclaurin's went first
-                r = max(r, _fourier_radius(sigma, margin, u1))
+            r = min(-0.5 * sigma, margin / _fourier_slope(sigma, 0.0))
+            r = min(r, margin / _fourier_slope(sigma, r))
+        # ln a^(-sigma-u); past 690 its ln^2 a multiple in P2 could overflow
+        # a float (ln^2 a < e^14)
+        ea = -(sigma + u) * ln_a
+        if u > r and ea <= 690.0:
+            rho, p2 = _slope_bounds(consts, sigma, sigma + u, fixed, q_s,
+                                    math.exp(ea))
+            r = max(r, min(u, _quadratic_root(slope + rho, p2, margin)))
         return r
 
     def _fourier_plan(self, sigma: float, target: float):

@@ -341,6 +341,21 @@ def test_non_finite_tolerances_are_domain_errors(capsys, argv):
     assert err.startswith("domain error: ") and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--sigma", "-2.5", "--a", "0.3"],
+    ["roots", "--n", "4"],
+    ["verify", "--nmin", "0", "--nmax", "0", "--astep", "0.5"],
+])
+def test_negative_digits_fail_before_any_work(capsys, argv):
+    # a negative precision used to fail only when formatting, after the
+    # whole computation, with the format spec's own message
+    code, out, err = run(capsys, *argv, "--digits", "-1")
+    assert (code, out) == (2, "")
+    assert err == "domain error: digits must be >= 0\n"
+    code, out, _ = run(capsys, *argv, "--digits", "0")
+    assert code == 0 and out
+
+
 # ----------------------------------------------------------------- golden
 
 # stdout and exit code of every command in every --format.  After an

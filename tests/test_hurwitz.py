@@ -25,7 +25,6 @@ from hurwitz_real_zeros.hurwitz import (
     SIGN_SCAN_TARGET,
     SMALL_X_THRESHOLD,
     _EPS,
-    _fourier_radius,
     _fourier_slope,
     _integrand_G_direct,
     check_shift,
@@ -569,8 +568,8 @@ def _ball_radius(sigma, a, margin):
 
 def _hurwitz_radius(sigma, margin):
     """Hurwitz's forward ball alone, as `_ball_radius` takes it."""
-    return _fourier_radius(sigma, margin, min(
-        -0.5 * sigma, margin / _fourier_slope(sigma, 0.0)))
+    r1 = min(-0.5 * sigma, margin / _fourier_slope(sigma, 0.0))
+    return min(r1, margin / _fourier_slope(sigma, r1))
 
 
 def _assert_ball_holds(sigma, a, points):
@@ -637,14 +636,31 @@ def test_prefactor_rises_with_sigma_on_float_em_strips():
     assert mpmath.digamma(4) < mpmath.log(2 * mpmath.pi)
 
 
+def _assert_radius_bounds(sigma, a, margin):
+    """On [-3, 0) both slope bounds serve and the larger ball stands: the
+    forward radius is at least Hurwitz's, finite, and at most halfway to
+    the pole."""
+    radius = _ball_radius(sigma, a, margin)
+    assert _hurwitz_radius(sigma, margin) <= radius < math.inf, (
+        sigma, a, margin)
+    assert radius <= (1.0 - sigma) / 2.0, (sigma, a, margin)
+
+
 @pytest.mark.parametrize("sigma", [-5e-324, -1e-17, -3.0])
 def test_exclusion_radius_at_strip_ends_is_finite(sigma):
-    # the ends of N = 0..2: both slope bounds serve, and the larger ball
-    # stands
+    # the ends of N = 0..2
     for a in (1e-300, 0.3, 1.0):
         for margin in (5e-324, 1e-10, 1.0):
-            radius = _ball_radius(sigma, a, margin)
-            assert _hurwitz_radius(sigma, margin) <= radius < math.inf
+            _assert_radius_bounds(sigma, a, margin)
+
+
+def test_exclusion_radius_inside_strips_is_at_least_hurwitz():
+    # 200 seeded points of [-3, 0) x (0, 1] and three margins; a radius
+    # from the Euler-Maclaurin bound alone, without the max, fails here
+    rng = random.Random(2024)
+    for _ in range(200):
+        _assert_radius_bounds(-3.0 * (1.0 - rng.random()), 1.0 - rng.random(),
+                              rng.choice((1e-10, 1e-4, 1e-1)))
 
 
 #: The zeros of zeta(., a) on the strips N = -1..2, each with a sign change
