@@ -301,8 +301,8 @@ def main(argv=None) -> int:
             raise ValueError("tolerances must be finite and positive")
         if "delta" in args and not 0.0 < args.delta < math.inf:
             raise ValueError("exclusion delta must be finite and positive")
-        if args.digits < 0:
-            raise ValueError("digits must be >= 0")
+        if args.digits < 1:
+            raise ValueError("digits must be >= 1")
         # echoed into every JSON report: the options this command has
         config = {key: getattr(args, name) for name, key in (
             ("tol", "target_abs_error"), ("grid", "grid_points"),

@@ -34,8 +34,10 @@ per k for the process).  It stays in pure Python: importing numpy costs
 more set-up time and memory than a scan.
 
 `Evaluator.sign(sigma)` returns the certified sign of zeta(sigma, a),
-which is all a zero scan uses.  It tries two rungs in turn:
+which is all a zero scan uses.  It tries three rungs in turn:
 
+- next to the pole, on [1 - d0, 1) with d0 = 1/(1/a + K + target) and K
+  about 0.6, the pole rung: there zeta < -target is proved with no sum;
 - a loose sum to `SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few
   terms below sigma = -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms
   instead of 20 on [-3, 1).  If its value v' exceeds its bound b'
@@ -44,11 +46,12 @@ which is all a zero scan uses.  It tries two rungs in turn:
 - the full value, at the few points left, those next to a zero.
 
 So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
-The first rung is `_loose_sign`, which returns None where the loose sum
-does not certify, and else the sign with an exclusion ball: on [-3, 1),
-the excess gives the radius r of [sigma, sigma + r], over which zeta keeps
-that sign (`_ball_radius`); below -3, r = 0.  A certified full value gives
-a ball the same way.  No ball is stored, so `sign` depends on (a, params,
+The first two rungs are `_loose_sign`, which returns None where neither
+certifies, and else the sign with an exclusion ball: the pole rung's
+reaches the pole; elsewhere on [-3, 1), the loose sum's excess gives the
+radius r of [sigma, sigma + r], over which zeta keeps that sign
+(`_ball_radius`); below -3, r = 0.  A certified full value gives a ball
+the same way.  No ball is stored, so `sign` depends on (a, params,
 sigma) alone, never on earlier calls.  A certified sign is the full
 value's, so a caller may skip the points a ball covers, or go straight to
 the full value, without changing a sign.  `sign_changes` walks a grid that
@@ -59,18 +62,19 @@ sign takes its sign with no sum, and other steps take loose sums until the
 first uncertified one, then full values.  Balls are second order: the slope
 at sigma is taken with its sign from the value's own powers, and only its
 change across the ball is bounded, so they reach a zero's neighbourhood in
-few steps.  On N = -1..2 (197 a from `random.Random(100)`) a 512-point walk
-takes a median of 14, 11, 7 and 15 loose sums, and a bisection 3.0, 2.4,
-1.8 and 2.8 loose sums and 4.0, 8.1, 11.0 and 13.6 full values where one
-per step made 24.  On N = 3..7 (40 a per strip) a bisection tries 1.0-1.4
-loose sums where it tried 24.
+few steps.  They bound zeta through the Euler-Maclaurin form with one head
+term, a^-sigma, whose terms cancel far less than those of a longer head,
+and two corrections, four in a bisection.  On N = -1..2 (197 a from
+`random.Random(100)`) a 512-point walk takes a median of 6, 7, 5 and 7
+loose sums, and a bisection 3.1, 2.3, 1.7 and 2.3 loose sums and 4.5, 8.1,
+9.9 and 11.4 full values where one per step made 24.  On N = 3..7 (40 a
+per strip) a bisection tries 1.0-1.4 loose sums where it tried 24.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -106,6 +110,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 #: 2 zeta(5)/(2 pi)^5, a bound on |B5~(x)|/5! (periodic Bernoulli B_5).
 _B5_BOUND = 2.0 * 1.0369277551433699 / (2.0 * math.pi) ** 5
+#: 2 zeta(9)/(2 pi)^9, a bound on |B9~(x)|/9!.
+_B9_BOUND = 2.0 * 1.0020083928260822 / (2.0 * math.pi) ** 9
 _TWO_PI = 2.0 * math.pi
 
 #: Adaptive calls below this sigma leave Euler-Maclaurin.  Against
@@ -306,59 +312,68 @@ def _quadratic_root(slope: float, p2: float, margin: float) -> float:
 
 def _em_slope_consts(a: float):
     """The per-a factors of `Evaluator._ball_radius`'s Euler-Maclaurin
-    bound: q, ln q, ln a and its square, ln(n + a) for n < M and ln^2(n +
-    a) with n = 0's left out, and the factors of its correction terms'
-    slopes, of rho and of P2."""
-    q = SIGN_HEAD_TERMS + a
+    bound: q = 1 + a, ln q, ln a and its square, |B_2j|/(2j)! q^(1-2j) for
+    its corrections j = 1..4, the factors of rho for 2 and for 4
+    corrections, and those of P2."""
+    q = 1.0 + a
     ln_q = math.log(q)
-    logs = [math.log(n + a) for n in range(SIGN_HEAD_TERMS)]
-    c1, c2 = 1.0 / (12.0 * q), 1.0 / (720.0 * q * q * q)
+    ln_a = math.log(a)
+    c1, c2 = 1.0 / (12.0 * q), 1.0 / (720.0 * q ** 3)
     return (
-        q, ln_q, logs[0], logs[0] * logs[0], logs,
-        [0.0] + [x * x for x in logs[1:]], c1, c2,
-        (1.0 + 1e-12) * _B5_BOUND / (q * q * q * q),
+        q, ln_q, ln_a, ln_a * ln_a, c1, c2, 1.0 / (30240.0 * q ** 5),
+        1.0 / (1209600.0 * q ** 7),
+        {2: (1.0 + 1e-12) * _B5_BOUND / q ** 4,
+         4: (1.0 + 1e-12) * _B9_BOUND / q ** 8},
         0.5 * ln_q * ln_q + 2.0 * c1 * ln_q, c1 * ln_q * ln_q, 6.0 * c2,
         2.0 * c2 * ln_q, c2 * ln_q * ln_q)
 
 
-def _slope_bounds(consts, lo: float, hi: float, fixed: float, q_s: float,
-                  a_hi: float):
-    """(rho, P2): bounds on |R'| and |P'| over [lo, hi], -4 < lo <= hi <
-    1 (see `Evaluator._ball_radius`), given consts = `_em_slope_consts(a)`,
-    fixed >= sum_(1<=n<M) ln^2(n+a) (n+a)^-lo, q_s >= q^-lo and a_hi >=
-    a^-hi.
+def _slope_bounds(consts, lo: float, hi: float, q_s: float, a_hi: float,
+                  k: int):
+    """(rho, P2): bounds on |R'| and |P'| over [lo, hi], -2k < lo <= hi <
+    1, for `Evaluator._ball_radius`'s form with k = 2 or 4 corrections,
+    given consts = `_em_slope_consts(a)`, q_s >= q^-lo and a_hi >= a^-hi.
 
     Each factor is bounded at its worse end of the span: with c and h
-    its centre and half-length, m_k = |c + k| + h bounds |s + k|, so
-    |(s)_3| <= S3 = m0 m1 m2, |(s)_3'| <= S3' = m0 m1 + (m0 + m1) m2,
-    |(s)_3''| = 6 |s + 1| <= 6 m1, |(s)_5| <= S5 = S3 m3 m4 and
-    |(s)_5'| <= S5' = S3' m3 m4 + S3 (m3 + m4); |s ln q - 2| <= 2 + m0
-    ln q.  Powers with base above 1 fall in s, so they take lo: q^-s <=
-    q_s, q^u <= q q_s, (n+a)^-s for n >= 1 in `fixed`; a^-s rises, so
-    a^-s <= a_hi; 1/u^3 <= 1/e^3, e = 1 - hi; the square is convex in
-    u, so w = its larger end value on [e, 1 - lo].  With |B5~|/5! <= c
-    = 2 zeta(5)/(2 pi)^5, int_M^oo (x+a)^(-b-1) = q^-b/b and int
-    ln(x+a) (x+a)^(-b-1) = q^-b (ln q/b + 1/b^2), b = s + 4 >= lo + 4
-    = b0: rho = c q_s q^-4 (S5' + S5 (ln q + 1/b0))/b0, and P2 = ln^2 a
-    a_hi + fixed + q q_s (w^2 + 1)/e^3 + q_s (ln^2 q/2 + ln q (2 + m0
-    ln q)/(12 q) + (6 m1 + 2 S3' ln q + S3 ln^2 q)/(720 q^3)).  Both
-    are inflated by 1 + 1e-12 for rounding.
+    its centre and half-length, m_i = |c + i| + h bounds |s + i|.  A j-th
+    derivative of (s)_n = s (s + 1) ... (s + n - 1) is j! times a sum of
+    products of n - j of its factors, so |(s)_n^(j)| <= j! times the
+    coefficient of t^j in (m_0 + t) ... (m_(n-1) + t); each product term
+    may take any such bounds on its factors.  So |(s)_3| <= S3 = m0 m1 m2,
+    |(s)_3'| <= S3' = m0 m1 + (m0 + m1) m2, |(s)_3''| = 6 |s + 1| <= 6 m1,
+    and times (m3 + t) (m4 + t), |(s)_5| <= S5 = S3 m3 m4, |(s)_5'| <= S5'
+    = S3' m3 m4 + S3 (m3 + m4), and so on to (s)_9; |s ln q - 2| <= 2 + m0
+    ln q.  Powers of q > 1 fall in s, so they take lo: q^-s <= q_s, q^u
+    <= q q_s; a^-s rises, so a^-s <= a_hi; 1/u^3 <= 1/e^3, e = 1 - hi;
+    the square is convex in u, so w = its larger end value on [e, 1 -
+    lo].  With n = 2k + 1, |Bn~|/n! <= c = 2 zeta(n)/(2 pi)^n, int_1^oo
+    (x+a)^(-b-1) = q^-b/b and int ln(x+a) (x+a)^(-b-1) = q^-b (ln q/b +
+    1/b^2), b = s + 2k >= lo + 2k = b0: rho = c q_s q^-2k (Sn' + Sn (ln q
+    + 1/b0))/b0, and P2 = ln^2 a a_hi + q q_s (w^2 + 1)/e^3 + q_s (ln^2
+    q/2 + ln q (2 + m0 ln q)/(12 q) + (6 m1 + 2 S3' ln q + S3 ln^2
+    q)/(720 q^3) and, for k = 4, the same for (s)_5/(30240 q^5) and
+    (s)_7/(1209600 q^7)).  Both are inflated by 1 + 1e-12 for rounding.
     """
-    (q, ln_q, _, ln_a2, _, _, _, _, rho_c, p2_0, k1, k2, k3,
-     k4) = consts
+    q, ln_q, _, ln_a2, _, _, c3, c4, rho_c, p2_0, k1, k2, k3, k4 = consts
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n0, n1, n2 = abs(c) + h, abs(c + 1.0) + h, abs(c + 2.0) + h
     n3, n4 = abs(c + 3.0) + h, abs(c + 4.0) + h
     s3 = n0 * n1 * n2
     s3d = n0 * n1 + (n0 + n1) * n2
-    b = lo + 4.0
+    corr = p2_0 + k1 * n0 + k2 * n1 + k3 * s3d + k4 * s3
+    s, sd = s3 * n3 * n4, s3d * n3 * n4 + s3 * (n3 + n4)  # S5, S5'
+    if k == 4:
+        sd2 = 3.0 * n1 * n3 * n4 + s3d * (n3 + n4) + s3  # S5''/2
+        for cj, i in ((c3, 5.0), (c4, 7.0)):
+            corr += cj * (2.0 * sd2 + ln_q * (2.0 * sd + ln_q * s))
+            for n in (abs(c + i) + h, abs(c + i + 1.0) + h):
+                s, sd, sd2 = s * n, sd * n + s, sd2 * n + sd
+    b = lo + 2.0 * k
     e = 1.0 - hi
     w = max((1.0 - lo) * ln_q - 1.0, 1.0 - e * ln_q)
-    rho = rho_c * q_s / b * (s3d * n3 * n4 + s3 * (
-        n3 + n4 + n3 * n4 * (ln_q + 1.0 / b)))
+    rho = rho_c[k] * q_s / b * (sd + s * (ln_q + 1.0 / b))
     return rho, (1.0 + 1e-12) * (
-        ln_a2 * a_hi + fixed + q * q_s * (w * w + 1.0) / (e * e * e)
-        + q_s * (p2_0 + k1 * n0 + k2 * n1 + k3 * s3d + k4 * s3))
+        ln_a2 * a_hi + q * q_s * (w * w + 1.0) / (e * e * e) + q_s * corr)
 
 
 class Evaluator:
@@ -366,16 +381,16 @@ class Evaluator:
 
     Work that does not depend on sigma is done once per instance: the head
     bases n + a for each cutoff, the Fourier angles 2 pi (k a mod 1),
-    extended to the most terms any sigma has needed, and the logarithms of
-    the exclusion balls' slope bounds.  Calling it at sigma returns (value,
-    error_bound, path), the same bit for bit as a fresh instance would;
-    float Euler-Maclaurin's own bound alone decides whether a point moves
-    to `mpf-em`.  `sign` returns the certified sign of zeta: that of a
-    cheaper sum where its bound allows, else that of the value.  No call
-    depends on an earlier one.  `sign_changes` and `bisect` are a zero
-    scan's two halves: the grid walk on forward exclusion balls, and the
-    bisection of each sign change it finds, on balls two-sided inside its
-    bracket.
+    extended to the most terms any sigma has needed, the logarithms of the
+    exclusion balls' slope bounds and the pole rung's reach.  Calling it
+    at sigma returns (value, error_bound, path), the same bit for bit as a
+    fresh instance would; float Euler-Maclaurin's own bound alone decides
+    whether a point moves to `mpf-em`.  `sign` returns the certified sign
+    of zeta: that of the pole rung or a cheaper sum where its bound
+    allows, else that of the value.  No call depends on an earlier one.
+    `sign_changes` and `bisect` are a zero scan's two halves: the grid
+    walk on forward exclusion balls, and the bisection of each sign change
+    it finds, on balls two-sided inside its bracket.
     """
 
     def __init__(self, a: float, params: EvalParams = EvalParams()):
@@ -384,14 +399,27 @@ class Evaluator:
         self._heads = {}  # M: (bases n + a, q = M + a, ln q, sqrt(2) pi q)
         self._angles = [0.0]  # index k; k = 0 is never summed
         self._em_slopes = None  # `_em_slope_consts(a)`, on first use
+        # d0 of the pole rung (`_loose_sign`): zeta(sigma, a) < -target
+        # where 0 < 1 - sigma <= d0.  For 0 <= s < 1, with `_ball_radius`'s
+        # form stopped after two corrections (q = 1 + a; its B_5 remainder
+        # R is the smaller there), q^(1-s)/(s-1) <= 1/(s-1), q^-s/2 <= 1/2,
+        # s q^(-s-1)/12 <= 1/12, |(s)_3| q^(-s-3)/720 <= 6/720, |R| <= c
+        # |(s)_5| q^(-s-4)/(s+4) <= 30 c and a^-s <= 1/a, so
+        # zeta(s, a) <= 1/a + K - 1/(1 - s), K = 7/12 + 1/120 + 30 c.  So
+        # d0 = 1/(1/a + K + target) < 0.63; 1 - 1e-12 covers the rounding
+        # of d0, of 1 - sigma (exact from sigma = 1/2 on) and of the ends
+        # of the rung's balls.
+        self._pole_reach = (1.0 - 1e-12) / (
+            1.0 / self.a + 7.0 / 12.0 + 1.0 / 120.0 + 30.0 * _B5_BOUND
+            + params.target_abs_error)
 
     def __call__(self, sigma: float):
         val, bound, path, _ = self._evaluate(sigma)
         return val, bound, path
 
     def _evaluate(self, sigma: float):
-        """self(sigma) with the `_em_float` powers of a `float-em` value,
-        else None: (value, bound, path, powers)."""
+        """self(sigma) with the `_em_float` head terms of a `float-em`
+        value, else None: (value, bound, path, terms)."""
         a = self.a
         sigma = float(sigma)
         if not math.isfinite(sigma):
@@ -413,9 +441,9 @@ class Evaluator:
                 return (pref * self._fourier_sum(sigma, n), tail + rounding,
                         "fourier", None)
         M = _default_cutoff(sigma)
-        val, bound, powers = self._em_float(sigma, M, target)
+        val, bound, terms = self._em_float(sigma, M, target)
         if bound <= target:
-            return val, bound, "float-em", powers
+            return val, bound, "float-em", terms
         # rounding left truncation too little room
         val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
         if bound > target:
@@ -428,11 +456,11 @@ class Evaluator:
 
     def _em_float(self, sigma: float, M: int, target: float):
         """Euler-Maclaurin in floats with M head terms: (value, bound,
-        powers), the bound covering truncation and float rounding, powers
-        being ([(n + a)^-sigma for n < M], q^(1-sigma), q^-sigma) with q =
-        M + a, which `_ball_radius` reuses.  The bound is infinite when
-        rounding alone reaches `target`; a head, integral or half term that
-        overflows a float raises `AccuracyError` with an infinite bound."""
+        terms), the bound covering truncation and float rounding, terms
+        being [(n + a)^-sigma for n < M], whose first two `_ball_radius`
+        reuses.  The bound is infinite when rounding alone reaches
+        `target`; a head, integral or half term that overflows a float
+        raises `AccuracyError` with an infinite bound."""
         head_plan = self._heads.get(M)
         if head_plan is None:
             a = self.a
@@ -486,28 +514,29 @@ class Evaluator:
         dx = math.fsum((1.0, -sigma, -x))
         if dx:
             rounding += abs(dx) * (ln_q + 1.0 / abs(x)) * integral_abs
-        powers = terms, q_x, q_s
         if rounding >= target:
-            return total, math.inf, powers
+            return total, math.inf, terms
         kmax = MAX_CORRECTION_ORDER
         if s_abs + 2 * kmax > reach:
             kmax = int((reach - s_abs) / 2.0)
         val, bound = _correction_loop(sigma, q, total, kmax,
                                       target - rounding, _em_coef)
-        return val, bound + rounding, powers
+        return val, bound + rounding, terms
 
     def sign(self, sigma: float) -> int:
         """Certified sign (-1, 0 or 1) of zeta(sigma, a).
 
-        Below sigma = 1 a loose sum to `SIGN_SCAN_TARGET` comes first: the
+        Below sigma = 1 `_loose_sign` comes first.  Next to the pole, on
+        [1 - d0, 1), zeta < -target is proved with no sum (d0 as in
+        `__init__`).  Elsewhere a loose sum to `SIGN_SCAN_TARGET` runs: the
         Fourier series with a few terms for sigma < -3, Euler-Maclaurin with
         `SIGN_HEAD_TERMS` head terms on [-3, 1).  If that value v' exceeds
         its bound b' (truncation and rounding) by more than the target, then
         |zeta| > target and sign(v') is the sign of zeta, and of any value
-        within target of it.  This rung is `_loose_sign`.  Where it does not
-        certify, the sign is that of self(sigma)[0].  So `sign` raises only
-        where self(sigma) raises and the loose sum does not certify, and it
-        depends on sigma alone, never on earlier calls.
+        within target of it.  Where neither certifies, the sign is that of
+        self(sigma)[0].  So `sign` raises only where self(sigma) raises and
+        `_loose_sign` does not certify, and it depends on sigma alone, never
+        on earlier calls.
         """
         sigma = float(sigma)
         return (self._loose_sign(sigma) or self._value_sign(sigma))[0]
@@ -518,26 +547,26 @@ class Evaluator:
         Where the value v exceeds its bound b by more than the target, r is
         `_ball_radius`'s on the margin |v| - b - target, for a `float-em`
         value on [-3, 1); elsewhere, and for an uncertified value, r = 0."""
-        val, bound, _, powers = self._evaluate(sigma)
+        val, bound, _, terms = self._evaluate(sigma)
         sgn = (val > 0.0) - (val < 0.0)
-        if powers is not None and FOURIER_CROSSOVER <= sigma < 1.0:
+        if terms is not None and FOURIER_CROSSOVER <= sigma < 1.0:
             margin = (abs(val) - bound - self.params.target_abs_error
                       - 2.0 * _EPS * abs(val))  # its rounding
             if margin > 0.0:
-                # the 3-term form's powers: the first head terms, and q^-sigma
-                # at q = M + a, the head term n = M
-                terms = powers[0]
                 return sgn, self._ball_radius(sigma, sgn, margin, terms,
-                                              terms[SIGN_HEAD_TERMS], bounds)
+                                              bounds)
         return sgn, 0.0
 
     def _loose_sign(self, sigma: float, bounds=None):
-        """`sign`'s loose-sum rung: (sign, r) where the loose sum certifies
-        the sign of zeta(sigma, a), else None.  zeta keeps that sign on the
-        exclusion ball [sigma, sigma + r], or, given slope `bounds` over a
-        span around sigma (a bisection's, `_bracket_bounds`), on [sigma -
-        r, sigma + r] inside that span: r is `_ball_radius`'s on [-3, 1),
-        and 0.0 below -3."""
+        """`sign`'s cheap rungs: (sign, r) where the pole rung or the loose
+        sum certifies the sign of zeta(sigma, a), else None.  zeta keeps
+        that sign on the exclusion ball [sigma, sigma + r], or, given slope
+        `bounds` over a span around sigma below 1 (a bisection's,
+        `_bracket_bounds`), on [sigma - r, sigma + r] inside that span.  On
+        the pole rung [1 - d0, 1) the sign is -1; forward, r falls short of
+        the pole by 1e-12 of 1 - sigma, which rounding in a caller's ball
+        test cannot bridge, and two-sided it reaches back to 1 - d0.
+        Elsewhere r is `_ball_radius`'s on [-3, 1), and 0.0 below -3."""
         if sigma < FOURIER_CROSSOVER:
             plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
             if plan is not None:
@@ -546,14 +575,18 @@ class Evaluator:
                 if abs(val) - (tail + rounding) > self.params.target_abs_error:
                     return (1 if val > 0.0 else -1), 0.0
         elif sigma < 1.0:
-            val, bound, powers = self._em_float(sigma, SIGN_HEAD_TERMS,
-                                                SIGN_SCAN_TARGET)
+            d = 1.0 - sigma
+            if d <= self._pole_reach:
+                return -1, ((1.0 - 1e-12) * d if bounds is None
+                            else self._pole_reach - d)
+            val, bound, terms = self._em_float(sigma, SIGN_HEAD_TERMS,
+                                               SIGN_SCAN_TARGET)
             margin = abs(val) - bound - self.params.target_abs_error
             if margin > 0.0:
                 sgn = 1 if val > 0.0 else -1
                 margin -= 2.0 * _EPS * abs(val)  # its rounding
-                return sgn, self._ball_radius(sigma, sgn, margin, powers[0],
-                                              powers[2], bounds)
+                return sgn, self._ball_radius(sigma, sgn, margin, terms,
+                                              bounds)
         return None
 
     def sign_changes(self, lo: float, step: float, n: int):
@@ -596,15 +629,15 @@ class Evaluator:
         """`bisect_sign` on [lo, hi], whose ends have the signs slo and
         -slo, to half-width <= the params target: (x, half-width).
 
-        On [-3, 1) every certified value, loose sum or full value, leaves
-        an exclusion ball, two-sided inside the bracket, whose slope bounds
-        `_bracket_bounds` takes once.  The latest ball of each sign is
-        kept, and a midpoint inside one takes its sign with no sum.  Other
-        steps take loose signs up to the first one the loose sum leaves
-        uncertified, then full values: later steps are closer to the zero,
-        where loose sums seldom certify.  Each sign is `sign`'s, unless a
-        full value raises at a step a ball or a loose sum would have
-        certified."""
+        On [-3, 1) every certified sign, from the pole rung, a loose sum
+        or a full value, leaves an exclusion ball, two-sided inside the
+        bracket, whose slope bounds `_bracket_bounds` takes once.  The
+        latest ball of each sign is kept, and a midpoint inside one takes
+        its sign with no sum.  Other steps take loose signs up to the first
+        one the loose sum leaves uncertified, then full values: later steps
+        are closer to the zero, where loose sums seldom certify.  Each sign
+        is `sign`'s, unless a full value raises at a step a ball or a loose
+        sum would have certified."""
         bounds = self._bracket_bounds(lo, hi)
         loose = True
         # the latest ball of each sign, (centre, radius); none yet
@@ -631,18 +664,16 @@ class Evaluator:
         return bisect_sign(sign, lo, hi, slo, self.params.target_abs_error)
 
     def _bracket_bounds(self, lo: float, hi: float):
-        """A bisection's slope bounds (rho, P2): `_slope_bounds` on its
-        bracket [lo, hi], from the powers at the bracket's ends, where -3
-        <= lo and hi < 1; else None."""
+        """A bisection's slope bounds (rho, P2): `_slope_bounds` with four
+        corrections on its bracket [lo, hi], from the powers at the
+        bracket's ends, where -3 <= lo and hi < 1; else None."""
         if not (FOURIER_CROSSOVER <= lo and hi < 1.0):
             return None
         consts = self._consts()
-        q, ln_a, logs2 = consts[0], consts[2], consts[5]
-        a = self.a
-        fixed = sum(logs2[n] * (n + a) ** -lo for n in range(1, len(logs2)))
+        q, _, ln_a = consts[:3]
         ea = -hi * ln_a  # ln a^-hi; past 690, P2 = inf and balls have r = 0
         a_hi = math.exp(ea) if ea < 690.0 else math.inf
-        return _slope_bounds(consts, lo, hi, fixed, q ** -lo, a_hi)
+        return _slope_bounds(consts, lo, hi, q ** -lo, a_hi, 4)
 
     def _consts(self):
         """`_em_slope_consts(a)`, computed on first use."""
@@ -652,27 +683,30 @@ class Evaluator:
         return consts
 
     def _ball_radius(self, sigma: float, sgn: int, margin: float, heads,
-                     q_s: float, bounds=None) -> float:
+                     bounds=None) -> float:
         """r >= 0 with zeta(., a) of sign `sgn` and |zeta| > |zeta(sigma, a)|
         - margin on [sigma, sigma + r], or, given `_slope_bounds` (rho, P2)
         over a span around sigma, on [sigma - r, sigma + r] inside that
         span, if -3 <= sigma < 1, 0 < margin < |zeta(sigma, a)| and sgn is
-        its sign: the exclusion ball of a certified value.  heads[n] = (n +
-        a)^-sigma for n < M and q_s = q^-sigma, q = M + a, M =
-        `SIGN_HEAD_TERMS`, are powers from the value's own sum.
+        its sign: the exclusion ball of a certified value.  heads[0] =
+        a^-sigma and heads[1] = q^-sigma, q = 1 + a, are the first two head
+        terms of the value's own sum.
 
-        With two corrections and the periodic B_5 remainder (Apostol
-        Ch. 12), for s > -4, zeta(s, a) = sum_(n<M) (n+a)^-s + q^(1-s)/(s-1)
-        + q^-s/2 + s q^(-s-1)/12 - (s)_3 q^(-s-3)/720 + R, R = -(s)_5/5!
-        int_M^oo B5~(x) (x+a)^(-s-5) dx, (s)_k the rising factorial.  So
-        zeta' = P + R', P the derivative of the rest: P(s) = -sum ln(n+a)
-        (n+a)^-s - q^u (1 - u ln q)/u^2 - (ln q/2) q^-s + q^(-s-1) (1 - s
-        ln q)/12 - q^(-s-3) ((s)_3' - (s)_3 ln q)/720, u = 1 - s, and P' =
-        sum ln^2(n+a) (n+a)^-s - q^u ((u ln q - 1)^2 + 1)/u^3 + (ln^2 q/2)
-        q^-s + q^(-s-1) ln q (s ln q - 2)/12 - q^(-s-3) ((s)_3'' - 2 (s)_3'
-        ln q + (s)_3 ln^2 q)/720.  `_slope_bounds` bounds |R'| by rho and
-        |P'| by P2 over a span.  P(sigma) takes `heads` and q_s, with sign;
-        1e-12 times the sum of its terms' sizes covers its rounding.
+        With one head term and k corrections (Apostol Ch. 12), for s > -2k,
+        zeta(s, a) = a^-s + q^(1-s)/(s-1) + q^-s/2 + sum_(j<=k) C_j (s)_m
+        q^(1-s-m) + R, m = 2j - 1, C_j = B_2j/(2j)!, R = -(s)_n/n! int_1^oo
+        Bn~(x) (x+a)^(-s-n) dx, n = 2k + 1, (s)_m the rising factorial.  Its
+        integral term cancels far less than that of a longer head would.  A
+        forward ball, which P2 limits, takes k = 2; a bisection's, which rho
+        limits next to a zero, takes k = 4, whose R' is about 3 times
+        smaller on N = -1 and 100 times on N = 2.  So zeta' = P + R', P the
+        derivative of the rest: P(s) = -ln a a^-s - q^u (1 - u ln q)/u^2 -
+        (ln q/2) q^-s + sum_j C_j q^(1-s-m) ((s)_m' - (s)_m ln q), u = 1 -
+        s, and P' = ln^2 a a^-s - q^u ((u ln q - 1)^2 + 1)/u^3 + (ln^2 q/2)
+        q^-s + sum_j C_j q^(1-s-m) ((s)_m'' - 2 (s)_m' ln q + (s)_m ln^2
+        q).  `_slope_bounds` bounds |R'| by rho and |P'| by P2 over a span.
+        P(sigma) takes `heads`, with sign; 1e-12 times the sum of its terms'
+        sizes covers its rounding.
 
         Inside the span, |zeta'(y)| <= |P(sigma)| + rho + |y - sigma| P2,
         so zeta keeps its sign and |zeta| falls by at most r (rho +
@@ -692,29 +726,39 @@ class Evaluator:
         P2 stays a float.
         """
         consts = self._consts()
-        q, ln_q, ln_a, ln_a2, logs, logs2, c1, c2, _, p2_0 = consts[:10]
+        q, ln_q, ln_a, ln_a2, c1, c2, c3, c4, _, p2_0 = consts[:10]
+        a_s, q_s = heads[0], heads[1]
         d = 1.0 - sigma
         q_d = q * q_s
         g = (1.0 - d * ln_q) / (d * d)
-        head = sum(map(operator.mul, logs, heads))
+        head = ln_a * a_s
         half = 0.5 * ln_q * q_s
         t1 = c1 * q_s * (1.0 - sigma * ln_q)
-        t2 = c2 * q_s * (3.0 * sigma * sigma + 6.0 * sigma + 2.0
-                         - sigma * (sigma + 1.0) * (sigma + 2.0) * ln_q)
+        poch = sigma * (sigma + 1.0) * (sigma + 2.0)  # (s)_3, then (s)_5
+        dpoch = 3.0 * sigma * sigma + 6.0 * sigma + 2.0
+        t2 = c2 * q_s * (dpoch - poch * ln_q)
         minus_p = head + q_d * g + half - t1 + t2
         # size sums the terms' sizes
-        size = (head - 2.0 * ln_a * heads[0] + q_d * abs(g) + half + abs(t1)
-                + abs(t2))
+        size = abs(head) + q_d * abs(g) + half + abs(t1) + abs(t2)
+        if bounds is not None:
+            # a bisection's form has the corrections of (s)_5 and (s)_7
+            f = (sigma + 3.0) * (sigma + 4.0)
+            poch, dpoch = poch * f, dpoch * f + poch * (2.0 * sigma + 7.0)
+            t3 = c3 * q_s * (dpoch - poch * ln_q)
+            f = (sigma + 5.0) * (sigma + 6.0)
+            t4 = c4 * q_s * (dpoch * f + poch * (2.0 * sigma + 11.0)
+                             - poch * f * ln_q)
+            minus_p += t4 - t3
+            size += abs(t3) + abs(t4)
         if bounds is not None:
             rho, p2 = bounds
             return _quadratic_root(rho + 1e-12 * size + abs(minus_p), p2,
                                    margin)
         # r slope + r^2 P2/2 <= margin, slope = rho - sgn P(sigma)
         slope = 1e-12 * size + sgn * minus_p
-        fixed = sum(map(operator.mul, logs2, heads))
         w = d * ln_q - 1.0
         u = min(0.5 * d, _quadratic_root(
-            slope, ln_a2 * heads[0] + fixed + q_d * (w * w + 1.0) / (d * d * d)
+            slope, ln_a2 * a_s + q_d * (w * w + 1.0) / (d * d * d)
             + q_s * p2_0, margin))
         r = 0.0
         if sigma < 0.0:
@@ -724,8 +768,8 @@ class Evaluator:
         # a float (ln^2 a < e^14)
         ea = -(sigma + u) * ln_a
         if u > r and ea <= 690.0:
-            rho, p2 = _slope_bounds(consts, sigma, sigma + u, fixed, q_s,
-                                    math.exp(ea))
+            rho, p2 = _slope_bounds(consts, sigma, sigma + u, q_s,
+                                    math.exp(ea), 2)
             r = max(r, min(u, _quadratic_root(slope + rho, p2, margin)))
         return r
 

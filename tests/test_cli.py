@@ -348,11 +348,13 @@ def test_non_finite_tolerances_are_domain_errors(capsys, argv):
 ])
 def test_negative_digits_fail_before_any_work(capsys, argv):
     # a negative precision used to fail only when formatting, after the
-    # whole computation, with the format spec's own message
-    code, out, err = run(capsys, *argv, "--digits", "-1")
-    assert (code, out) == (2, "")
-    assert err == "domain error: digits must be >= 0\n"
-    code, out, _ = run(capsys, *argv, "--digits", "0")
+    # whole computation, with the format spec's own message; 0 printed one
+    # digit, as `g` reads precision 0 as 1, so it is refused too
+    for digits in ("-1", "0"):
+        code, out, err = run(capsys, *argv, "--digits", digits)
+        assert (code, out) == (2, "")
+        assert err == "domain error: digits must be >= 1\n"
+    code, out, _ = run(capsys, *argv, "--digits", "1")
     assert code == 0 and out
 
 

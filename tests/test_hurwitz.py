@@ -27,6 +27,7 @@ from hurwitz_real_zeros.hurwitz import (
     _EPS,
     _fourier_slope,
     _integrand_G_direct,
+    _slope_bounds,
     check_shift,
     gamma_real,
     gamma_sign,
@@ -559,11 +560,18 @@ def test_signs_match_scalar_on_float_em_random(sigmas, a):
 
 def _ball_radius(sigma, a, margin):
     """`Evaluator(a)._ball_radius` at sigma, forward, with its loose sum's
-    powers and sign."""
+    head terms and sign."""
     ev = Evaluator(a)
-    val, _, powers = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
-    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, powers[0],
-                           powers[2])
+    val, _, terms = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, terms)
+
+
+def _loose_sum_evaluator(a):
+    """`Evaluator(a)` without its pole rung, so that `_loose_sign` takes
+    the loose sum and its ball on all of [-3, 1)."""
+    ev = Evaluator(a)
+    ev._pole_reach = 0.0
+    return ev
 
 
 def _hurwitz_radius(sigma, margin):
@@ -573,11 +581,11 @@ def _hurwitz_radius(sigma, margin):
 
 
 def _assert_ball_holds(sigma, a, points):
-    """`Evaluator(a)._loose_sign(sigma)` returns (sign, r) when its loose
-    sum certifies; every one of `points` points across the ball [sigma,
-    sigma + r] has, at 30 digits, |zeta| > target and that sign, the sign a
-    scan takes there without a sum.  Returns whether a ball was returned."""
-    loose = Evaluator(a)._loose_sign(sigma)
+    """`_loose_sign(sigma)` returns (sign, r) when its loose sum certifies;
+    every one of `points` points across the ball [sigma, sigma + r] has, at
+    30 digits, |zeta| > target and that sign, the sign a scan takes there
+    without a sum.  Returns whether a ball was returned."""
+    loose = _loose_sum_evaluator(a)._loose_sign(sigma)
     if loose is None:  # the loose sum did not certify
         return False
     ball_sign, radius = loose
@@ -710,9 +718,9 @@ def _em_ball_cases():
 
 
 def _em_ball(sigma, a):
-    """(sign, margin, radius) of the ball `Evaluator(a)._loose_sign(sigma)`
-    returns from its loose sum, or None where that sum does not certify."""
-    ev = Evaluator(a)
+    """(sign, margin, radius) of the ball `_loose_sign(sigma)` returns from
+    its loose sum, or None where that sum does not certify."""
+    ev = _loose_sum_evaluator(a)
     val, bound, _ = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
     loose = ev._loose_sign(sigma)
     if loose is None:
@@ -761,7 +769,7 @@ def test_bracket_balls_keep_their_sign_on_both_halves():
             for d in (-1e-3, -1e-5, -1e-7, 1e-7, 1e-5, 1e-3):
                 sigma = z + d
                 lo, hi = max(-3.0, sigma - h), min(sigma + h, 1.0 - 1e-9)
-                ev = Evaluator(a)
+                ev = _loose_sum_evaluator(a)
                 bounds = ev._bracket_bounds(lo, hi)
                 found = [(ev._value_sign(sigma, bounds), ev(sigma))]
                 loose = ev._loose_sign(sigma, bounds)
@@ -780,75 +788,102 @@ def test_bracket_balls_keep_their_sign_on_both_halves():
     assert balls >= 100
 
 
-def _mp_slope_bounds(lo, hi, a):
-    """(rho, P2) of `_slope_bounds` on [lo, hi] from its docstring's
-    formulas at 30 digits, each factor at its worse end."""
+def _mp_slope_bounds(lo, hi, a, k):
+    """(rho, P2) of `_slope_bounds` on [lo, hi] for k corrections, from
+    its docstring's formulas at 30 digits, each factor at its worse end."""
     lo, hi, a = mpmath.mpf(lo), mpmath.mpf(hi), mpmath.mpf(a)
-    q = SIGN_HEAD_TERMS + a
+    q = 1 + a
     lq = mpmath.log(q)
-    m = [max(abs(lo + k), abs(hi + k)) for k in range(5)]
-    s3 = m[0] * m[1] * m[2]
-    s3d = m[0] * m[1] + (m[0] + m[1]) * m[2]
-    s5, s5d = s3 * m[3] * m[4], s3d * m[3] * m[4] + s3 * (m[3] + m[4])
-    b, e = lo + 4, 1 - hi
+    m = [max(abs(lo + i), abs(hi + i)) for i in range(2 * k + 1)]
+    # bounds on |(s)_n|, |(s)_n'| and |(s)_n''|/2, from n = 3 on: the
+    # coefficients of t^0..t^2 in a product of (m_i + t)
+    s, sd = m[0] * m[1] * m[2], m[0] * m[1] + (m[0] + m[1]) * m[2]
+    sd2 = 3 * m[1]
+    corr = lq ** 2 / 2 + lq * (2 + m[0] * lq) / (12 * q)
+    for j in range(2, k + 1):
+        corr += (abs(mpmath.bernoulli(2 * j)) / mpmath.factorial(2 * j)
+                 * q ** (1 - 2 * j) * (2 * sd2 + 2 * sd * lq + s * lq ** 2))
+        for mi in m[2 * j - 1:2 * j + 1]:
+            s, sd, sd2 = s * mi, sd * mi + s, sd2 * mi + sd
+    b, e = lo + 2 * k, 1 - hi
     w = max(abs((1 - lo) * lq - 1), abs(e * lq - 1))
-    rho = (2 * mpmath.zeta(5) / (2 * mpmath.pi) ** 5 * q ** (-lo - 4)
-           * (s5d + s5 * (lq + 1 / b)) / b)
+    n = 2 * k + 1
+    rho = (2 * mpmath.zeta(n) / (2 * mpmath.pi) ** n * q ** (-lo - 2 * k)
+           * (sd + s * (lq + 1 / b)) / b)
     p2 = (mpmath.log(a) ** 2 * a ** -hi
-          + sum(mpmath.log(n + a) ** 2 * (n + a) ** -lo
-                for n in range(1, SIGN_HEAD_TERMS))
-          + q ** (1 - lo) * (w ** 2 + 1) / e ** 3
-          + q ** -lo * (lq ** 2 / 2 + lq * (2 + m[0] * lq) / (12 * q)
-                        + (6 * m[1] + 2 * s3d * lq + s3 * lq ** 2)
-                        / (720 * q ** 3)))
+          + q ** (1 - lo) * (w ** 2 + 1) / e ** 3 + q ** -lo * corr)
     return rho, p2
 
 
-def _em_slope(sigma, a):
+def _em_slope(sigma, a, k):
     """P(sigma) of `Evaluator._ball_radius` at 30 digits, by
-    differentiating the two-correction form."""
+    differentiating the one-head-term form with k corrections."""
     a = mpmath.mpf(a)
-    q = SIGN_HEAD_TERMS + a
+    q = 1 + a
 
     def em_part(s):
-        return (sum((n + a) ** -s for n in range(SIGN_HEAD_TERMS))
-                + q ** (1 - s) / (s - 1) + q ** -s / 2
-                + s * q ** (-s - 1) / 12
-                - s * (s + 1) * (s + 2) * q ** (-s - 3) / 720)
+        return (a ** -s + q ** (1 - s) / (s - 1) + q ** -s / 2
+                + sum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j)
+                      * mpmath.rf(s, 2 * j - 1) * q ** (-s - 2 * j + 1)
+                      for j in range(1, k + 1)))
 
     return mpmath.diff(em_part, mpmath.mpf(sigma))
 
 
 def test_em_ball_derivative_bound_holds():
     # for spans [sigma - t, sigma + t], t the forward ball's radius and the
-    # cap min(1 - sigma, sigma + 4)/2: the bracket bounds the evaluator
-    # takes are at least the docstring's (rho, P2) with each factor at its
-    # worse end, and |zeta'(y) - P(sigma)| <= rho + |y - sigma| P2 there,
-    # at 30 digits, where a ball forms (so |zeta| and a^-sigma stay well
-    # inside 30 digits)
+    # cap min(1 - sigma, sigma + 4)/2, with the walk's 2 corrections and a
+    # bisection's 4: the slope bounds the evaluator takes are at least the
+    # docstring's (rho, P2) with each factor at its worse end, and
+    # |zeta'(y) - P(sigma)| <= rho + |y - sigma| P2 there, at 30 digits,
+    # where a ball forms (so |zeta| and a^-sigma stay well inside 30
+    # digits)
     checked = 0
     for sigma, a in _em_ball_cases():
         ball = _em_ball(sigma, a)
         if ball is None:
             continue
+        ev = Evaluator(a)
         for t in {ball[2], min(1.0 - sigma, sigma + 4.0) / 2.0}:
             lo, hi = sigma - t, sigma + t
             if hi >= 1.0:
                 continue
             checked += 1
-            rho, p2 = Evaluator(a)._bracket_bounds(max(lo, -3.0), hi) if (
-                lo >= -3.0) else (math.inf, math.inf)
             with mpmath.workdps(30):
-                mp_rho, mp_p2 = _mp_slope_bounds(lo, hi, a)
-                if lo >= -3.0:
-                    assert rho >= mp_rho and p2 >= mp_p2, (sigma, a, t)
-                p = _em_slope(sigma, a)
-                for i in range(9):
-                    dy = mpmath.mpf(t) * (i - 4) / 4
-                    slope = mpmath.zeta(sigma + dy, mpmath.mpf(a), 1)
-                    assert abs(slope - p) <= mp_rho + abs(dy) * mp_p2, (
-                        sigma, a, t, i)
+                steps = [mpmath.mpf(t) * (i - 4) / 4 for i in range(9)]
+                slopes = [mpmath.zeta(sigma + dy, mpmath.mpf(a), 1)
+                          for dy in steps]
+            for k in (2, 4):
+                if lo < -3.0:
+                    rho = p2 = math.inf
+                elif k == 4:
+                    rho, p2 = ev._bracket_bounds(lo, hi)
+                else:
+                    rho, p2 = _slope_bounds(ev._consts(), lo, hi,
+                                            (1.0 + a) ** -lo, a ** -hi, k)
+                with mpmath.workdps(30):
+                    mp_rho, mp_p2 = _mp_slope_bounds(lo, hi, a, k)
+                    assert rho >= mp_rho and p2 >= mp_p2, (sigma, a, t, k)
+                    p = _em_slope(sigma, a, k)
+                    for i, (dy, slope) in enumerate(zip(steps, slopes)):
+                        assert abs(slope - p) <= mp_rho + abs(dy) * mp_p2, (
+                            sigma, a, t, k, i)
     assert checked >= 300
+
+
+def test_bracket_ball_takes_the_four_correction_slope():
+    # with rho = P2 = 0 a bisection's ball has radius margin/|P(sigma)|, up
+    # to 1e-12 of its terms' sizes: P is the slope of the form with four
+    # corrections, whose remainder the bracket's rho bounds
+    rng = random.Random(31)
+    for _ in range(60):
+        sigma, a = rng.uniform(-3.0, 0.9), rng.uniform(0.01, 1.0)
+        ev = Evaluator(a)
+        _, _, terms = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+        radius = ev._ball_radius(sigma, 1, 1.0, terms, (0.0, 0.0))
+        with mpmath.workdps(30):
+            p = abs(_em_slope(sigma, a, 4))
+        assert abs(1 / mpmath.mpf(radius) - p) <= 1e-9 * (1 + p), (sigma, a)
 
 
 @pytest.mark.parametrize("a", [1e-300, 1e-6, 0.3, 1.0])
@@ -859,6 +894,41 @@ def test_em_exclusion_radius_at_range_ends_is_finite(a):
         for margin in (5e-324, 1.0):
             radius = _ball_radius(sigma, a, margin)
             assert 0.0 <= radius < math.inf
+
+
+@pytest.mark.parametrize("target", [1e-10, 1e3])
+def test_pole_rung_holds_against_mpmath(target):
+    # `_loose_sign`'s pole rung claims zeta < -target on [1 - d0, 1) with
+    # no sum: checked at 30 digits from 1 - d0 to 1 - 1e-12, where `sign`
+    # takes the rung's -1 and the full value has that sign too.  Next to
+    # the pole zeta(s, a) = 1/(s - 1) - psi(a) + O(1 - s) and -psi(a) = 1/a
+    # - psi(1 + a), so at 1 - s = d0 zeta is about -target - K - psi(1 +
+    # a): K must cover -psi(1 + a), up to Euler's 0.577 as a -> 0.  At
+    # target 1e3, d0 is about 1e-3, close enough to the pole for that to
+    # decide: with K = 0, a = 0.0097 and 0.1 fail there
+    rng = random.Random(97)
+    params = EvalParams(target)
+    for a in (0.0097, 0.01, 0.1, 0.5, 1.0,
+              *(rng.uniform(0.0, 1.0) or 1.0 for _ in range(4))):
+        ev = Evaluator(a, params)
+        d0 = ev._pole_reach
+        assert 0.0 < d0 < 0.63, a
+        candidates = [1.0 - d0, math.nextafter(1.0 - d0, 1.0), 1.0 - 1e-12]
+        candidates += [1.0 - d0 * t for t in (0.999, 0.9, 0.5, 0.1, 1e-3)]
+        candidates += [1.0 - d0 * rng.random() for _ in range(3)]
+        sigmas = [x for x in candidates if 0.0 < 1.0 - x <= d0]
+        assert len(sigmas) >= 9, a
+        for sigma in sigmas:
+            # forward: up to the pole, short of it by 1e-12 of the distance
+            assert ev._loose_sign(sigma) == (
+                -1, (1.0 - 1e-12) * (1.0 - sigma)), (a, sigma)
+            # two-sided, in a bisection's span: down to 1 - d0
+            assert ev._loose_sign(sigma, (0.0, 0.0)) == (
+                -1, d0 - (1.0 - sigma)), (a, sigma)
+            assert ev.sign(sigma) == -1 and ev._value_sign(sigma)[0] == -1
+            with mpmath.workdps(30):
+                z = mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
+            assert z < -target, (a, sigma, z)
 
 
 # ------------------------------------------------------------------ gamma
