@@ -40,18 +40,18 @@ which is all a zero scan uses.  It tries three rungs in turn:
   about 0.6, the pole rung: there zeta < -target is proved with no sum;
 - a loose sum to `SIGN_SCAN_TARGET` (1e-4): the Fourier series with a few
   terms below sigma = -3, Euler-Maclaurin with `SIGN_HEAD_TERMS` head terms
-  instead of 20 on [-3, 1).  If its value v' exceeds its bound b'
-  (truncation and rounding) by more than the target, then |zeta| > target,
-  so v' has the sign of zeta and of the full value, at any target;
+  instead of 20 on [-3, 1).  `Evaluator._certify` holds the one rule by
+  which a value, loose or full, certifies its sign: then the sign is that
+  of zeta and of the full value, at any target;
 - the full value, at the few points left, those next to a zero.
 
 So a scan needs no guarded mpmath below sigma = -21 except next to a zero.
 The first two rungs are `_loose_sign`, which returns None where neither
 certifies, and else the sign with an exclusion ball: the pole rung's
-reaches the pole; elsewhere on [-3, 1), the loose sum's excess gives the
-radius r of [sigma, sigma + r], over which zeta keeps that sign
-(`_ball_radius`); below -3, r = 0.  A certified full value gives a ball
-the same way.  No ball is stored, so `sign` depends on (a, params,
+reaches the pole; elsewhere on [-3, 1), the certified value's excess over
+its bound gives the radius r of [sigma, sigma + r], over which zeta keeps
+that sign (`_ball_radius`); below -3, r = 0.  A certified full value gives
+a ball the same way.  No ball is stored, so `sign` depends on (a, params,
 sigma) alone, never on earlier calls.  A certified sign is the full
 value's, so a caller may skip the points a ball covers, or go straight to
 the full value, without changing a sign.  `sign_changes` walks a grid that
@@ -67,8 +67,8 @@ term, a^-sigma, whose terms cancel far less than those of a longer head,
 and two corrections, four in a bisection.  On N = -1..2 (197 a from
 `random.Random(100)`) a 512-point walk takes a median of 6, 7, 5 and 7
 loose sums, and a bisection 3.1, 2.3, 1.7 and 2.3 loose sums and 4.5, 8.1,
-9.9 and 11.4 full values where one per step made 24.  On N = 3..7 (40 a
-per strip) a bisection tries 1.0-1.4 loose sums where it tried 24.
+9.9 and 11.4 full values.  On N = 3..7 (40 a per strip) a bisection tries
+1.0-1.4 loose sums.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ _TWO_PI = 2.0 * math.pi
 FOURIER_CROSSOVER = -3.0
 
 #: `Evaluator.sign` sums the Fourier series, or float Euler-Maclaurin, to
-#: this looser target first and keeps that sign where the value clears its
-#: bound (truncation and rounding) by the full target.  The `deep`
+#: this looser target first and keeps that sign where `Evaluator._certify`
+#: passes the value.  The `deep`
 #: benchmark (8 s runs, seeds 81-84, 2-core x86-64) ran 469-485 items/s at
 #: 1e-6, 510-537 at 1e-5, 524-596 at 1e-4 and 556-562 at 1e-3.  Averaged
 #: over 40 seeded a, the full evaluator then served at most 0.03, 0.33, 2.4
@@ -273,17 +273,6 @@ def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
 
         val, bound = _correction_loop(s, q, total, kmax, target, coef)
         return float(val), bound
-
-
-def _fourier_terms(s: float, pref: float, target: float) -> int:
-    """The root n of pref * n^(1-s)/(s-1) = target/2, rounded up (and at
-    least 1): the Fourier term count, up to a rounding short by one.  A root
-    that overflows a float (a target so tight that rounding swamps it)
-    reads as one term over `MAX_CUTOFF`."""
-    root = (2.0 * pref / ((s - 1.0) * target)) ** (1.0 / (s - 1.0))
-    if root == math.inf:
-        return MAX_CUTOFF + 1
-    return max(1, math.ceil(root))
 
 
 def _fourier_slope(sigma: float, t: float) -> float:
@@ -530,50 +519,36 @@ class Evaluator:
         [1 - d0, 1), zeta < -target is proved with no sum (d0 as in
         `__init__`).  Elsewhere a loose sum to `SIGN_SCAN_TARGET` runs: the
         Fourier series with a few terms for sigma < -3, Euler-Maclaurin with
-        `SIGN_HEAD_TERMS` head terms on [-3, 1).  If that value v' exceeds
-        its bound b' (truncation and rounding) by more than the target, then
-        |zeta| > target and sign(v') is the sign of zeta, and of any value
-        within target of it.  Where neither certifies, the sign is that of
-        self(sigma)[0].  So `sign` raises only where self(sigma) raises and
-        `_loose_sign` does not certify, and it depends on sigma alone, never
-        on earlier calls.
+        `SIGN_HEAD_TERMS` head terms on [-3, 1).  Where `_certify` passes
+        it, its sign is that of zeta and of the full value.  Where neither
+        certifies, the sign is that of self(sigma)[0].  So `sign` raises
+        only where self(sigma) raises and `_loose_sign` does not certify,
+        and it depends on sigma alone, never on earlier calls.
         """
         sigma = float(sigma)
         return (self._loose_sign(sigma) or self._value_sign(sigma))[0]
 
     def _value_sign(self, sigma: float, bounds=None):
-        """(sign, r): the sign of the full value self(sigma)[0], and the
-        radius of the exclusion ball it certifies, as in `_loose_sign`.
-        Where the value v exceeds its bound b by more than the target, r is
-        `_ball_radius`'s on the margin |v| - b - target, for a `float-em`
-        value on [-3, 1); elsewhere, and for an uncertified value, r = 0."""
+        """(sign, r): the sign of the full value self(sigma)[0], with the
+        exclusion ball that `_certify` gives it, else r = 0."""
         val, bound, _, terms = self._evaluate(sigma)
-        sgn = (val > 0.0) - (val < 0.0)
-        if terms is not None and FOURIER_CROSSOVER <= sigma < 1.0:
-            margin = (abs(val) - bound - self.params.target_abs_error
-                      - 2.0 * _EPS * abs(val))  # its rounding
-            if margin > 0.0:
-                return sgn, self._ball_radius(sigma, sgn, margin, terms,
-                                              bounds)
-        return sgn, 0.0
+        return (self._certify(sigma, val, bound, terms, bounds)
+                or ((val > 0.0) - (val < 0.0), 0.0))
 
     def _loose_sign(self, sigma: float, bounds=None):
         """`sign`'s cheap rungs: (sign, r) where the pole rung or the loose
-        sum certifies the sign of zeta(sigma, a), else None.  zeta keeps
-        that sign on the exclusion ball [sigma, sigma + r], or, given slope
-        `bounds` over a span around sigma below 1 (a bisection's,
-        `_bracket_bounds`), on [sigma - r, sigma + r] inside that span.  On
-        the pole rung [1 - d0, 1) the sign is -1; forward, r falls short of
-        the pole by 1e-12 of 1 - sigma, which rounding in a caller's ball
-        test cannot bridge, and two-sided it reaches back to 1 - d0.
-        Elsewhere r is `_ball_radius`'s on [-3, 1), and 0.0 below -3."""
+        sum certifies the sign of zeta(sigma, a), else None.  On the pole
+        rung [1 - d0, 1) the sign is -1 and zeta keeps it on [sigma, sigma
+        + r], r short of the pole by 1e-12 of 1 - sigma, which rounding in a
+        caller's ball test cannot bridge; given a bisection's `bounds`, on
+        [sigma - r, sigma + r] back to 1 - d0.  Elsewhere the loose sum
+        certifies through `_certify`."""
         if sigma < FOURIER_CROSSOVER:
             plan = self._fourier_plan(sigma, SIGN_SCAN_TARGET)
             if plan is not None:
                 n, pref, tail, rounding = plan
-                val = pref * self._fourier_sum(sigma, n)
-                if abs(val) - (tail + rounding) > self.params.target_abs_error:
-                    return (1 if val > 0.0 else -1), 0.0
+                return self._certify(sigma, pref * self._fourier_sum(sigma, n),
+                                     tail + rounding, None)
         elif sigma < 1.0:
             d = 1.0 - sigma
             if d <= self._pole_reach:
@@ -581,13 +556,32 @@ class Evaluator:
                             else self._pole_reach - d)
             val, bound, terms = self._em_float(sigma, SIGN_HEAD_TERMS,
                                                SIGN_SCAN_TARGET)
-            margin = abs(val) - bound - self.params.target_abs_error
-            if margin > 0.0:
-                sgn = 1 if val > 0.0 else -1
-                margin -= 2.0 * _EPS * abs(val)  # its rounding
-                return sgn, self._ball_radius(sigma, sgn, margin, terms,
-                                              bounds)
+            return self._certify(sigma, val, bound, terms, bounds)
         return None
+
+    def _certify(self, sigma: float, val: float, bound: float, terms,
+                 bounds=None):
+        """(sign, r) where the value `val` at sigma, within `bound` of
+        zeta(sigma, a), certifies its sign, else None.
+
+        The one certification rule: with target the params target, the
+        value certifies where margin = |val| - bound - target - 2 eps |val|
+        > 0, 2 eps |val| covering the value's own rounding.  Then |zeta| >
+        target, so sign(val) is the sign of zeta and of any value within
+        target of it, the full value's included, at any target.  A value
+        whose float Euler-Maclaurin head `terms` the caller passes gives
+        the exclusion ball of `_ball_radius` on the margin, on [-3, 1):
+        forward, or, given a bisection's slope `bounds`, two-sided inside
+        its bracket.  Elsewhere, and for `fourier`, `mpf-em` and `exact`
+        values (terms None), r = 0."""
+        margin = (abs(val) - bound - self.params.target_abs_error
+                  - 2.0 * _EPS * abs(val))
+        if not margin > 0.0:
+            return None
+        sgn = 1 if val > 0.0 else -1
+        if terms is None or not FOURIER_CROSSOVER <= sigma < 1.0:
+            return sgn, 0.0
+        return sgn, self._ball_radius(sigma, sgn, margin, terms, bounds)
 
     def sign_changes(self, lo: float, step: float, n: int):
         """The sign changes of zeta(., a) over the grid lo + i * step, i <
@@ -750,7 +744,6 @@ class Evaluator:
                              - poch * f * ln_q)
             minus_p += t4 - t3
             size += abs(t3) + abs(t4)
-        if bounds is not None:
             rho, p2 = bounds
             return _quadratic_root(rho + 1e-12 * size + abs(minus_p), p2,
                                    margin)
@@ -797,7 +790,12 @@ class Evaluator:
         # the product (1.5), the correctly rounded fsum (0.5) and pref
         # itself (22.5 + s/2, Gamma taken as good to 20 ulps).
         rounding = _EPS * pref * (s * (math.log(s * MAX_CUTOFF) + 12.0) + 44.0)
-        n = _fourier_terms(s, pref, target)
+        # n is the root of pref * n^(1-s)/(s-1) = target/2, rounded up (at
+        # least 1), up to a rounding short by one; a root that overflows a
+        # float (a target so tight that rounding swamps it) reads as one
+        # term over MAX_CUTOFF
+        root = (2.0 * pref / ((s - 1.0) * target)) ** (1.0 / (s - 1.0))
+        n = MAX_CUTOFF + 1 if root == math.inf else max(1, math.ceil(root))
         tail = pref * n ** (1.0 - s) / (s - 1.0)
         if tail > target / 2.0:  # the rounded root fell just short
             n += 1

@@ -158,14 +158,20 @@ def _grid_spacing(N: int, grid_points: int,
     lo = max(-N - 1 + margin, math.nextafter(-N - 1, math.inf))
     hi = min(-N - (1e-2 if N == -1 else margin),
              math.nextafter(-N, -math.inf))
-    return lo, (hi - lo) / (grid_points - 1)
+    step = (hi - lo) / (grid_points - 1)
+    # the last point lo + (n - 1) * step may still round onto -N where the
+    # margin is below a float step there: shrink the step until it does not
+    while lo + (grid_points - 1) * step >= -N:
+        step = math.nextafter(step, 0.0)
+    return lo, step
 
 
 def scan_grid(N: int, grid_points: int, refine_tol: float) -> List[float]:
     """The sigma values locate_zeros samples in (-N-1, -N): grid_points
     equally spaced points from min(1e-4, 10 * refine_tol), but at least one
     float, inside each end; 1e-2 inside the right end for N = -1 (the pole
-    at sigma = 1)."""
+    at sigma = 1).  Every point lies strictly inside the strip, at any
+    target."""
     lo, step = _grid_spacing(N, grid_points, refine_tol)
     return [lo + i * step for i in range(grid_points)]
 

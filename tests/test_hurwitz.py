@@ -788,6 +788,47 @@ def test_bracket_balls_keep_their_sign_on_both_halves():
     assert balls >= 100
 
 
+def test_a_margin_inside_the_rounding_term_certifies_nothing(monkeypatch):
+    # a loose sum whose bound leaves |v| - b - target = eps |v|: it clears
+    # the target but not its own rounding 2 eps |v|.  Testing the margin
+    # before subtracting the rounding term gave the ball (-1, -1.5e-17) at
+    # (-2.5, 0.6), and the walk below then revisited -2.5 without end
+    target = EvalParams().target_abs_error
+    em_float = Evaluator._em_float
+    loose_sign = Evaluator._loose_sign
+    value_sign = Evaluator._value_sign
+    injected, balls, visits = set(), [], []
+
+    def squeezed(self, sigma, M, target_):
+        val, bound, terms = em_float(self, sigma, M, target_)
+        if (sigma, self.a) in injected and M == SIGN_HEAD_TERMS:
+            bound = abs(val) - target - _EPS * abs(val)
+            assert bound > 0.0
+        return val, bound, terms
+
+    def counted(sign):
+        def wrapped(self, sigma, *args):
+            visits.append(sigma)
+            if len(visits) > 1000:
+                raise RuntimeError("the walk revisits a grid point")
+            got = sign(self, sigma, *args)
+            if got is not None:
+                balls.append(got)
+            return got
+        return wrapped
+
+    monkeypatch.setattr(Evaluator, "_em_float", squeezed)
+    monkeypatch.setattr(Evaluator, "_loose_sign", counted(loose_sign))
+    monkeypatch.setattr(Evaluator, "_value_sign", counted(value_sign))
+    for sigma, a in ((-2.5, 0.6), (-0.5, 0.3)):
+        injected.add((sigma, a))
+        assert Evaluator(a)._loose_sign(sigma) is None
+    visits.clear()
+    Evaluator(0.6).sign_changes(-2.75, 0.25, 3)
+    assert -2.5 in visits
+    assert balls and all(r >= 0.0 for _, r in balls)
+
+
 def _mp_slope_bounds(lo, hi, a, k):
     """(rho, P2) of `_slope_bounds` on [lo, hi] for k corrections, from
     its docstring's formulas at 30 digits, each factor at its worse end."""

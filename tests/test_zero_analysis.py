@@ -161,12 +161,14 @@ def test_refine_tol_below_float_spacing_returns():
     assert signs == {False, True}
 
 
-@pytest.mark.parametrize("N, a", [(2, 1.0), (4, 1.0), (1, 0.5)])
+@pytest.mark.parametrize("N, a", [(2, 1.0), (4, 1.0), (1, 0.5), (0, 0.5)])
 def test_tight_target_reports_no_zero_on_the_strip_ends(N, a):
     # zeta(-N, a) = 0 here: a margin of 10 * 1e-17 used to round the grid's
     # ends onto the integers, and the zero at the end was reported as one
-    # inside (-N-1, -N)
-    assert locate_zeros(N, a, params=EvalParams(1e-17)) == []
+    # inside (-N-1, -N); on 26 points of N = 0 the last point lo + 25 step
+    # rounded onto 0 though the end hi did not
+    for grid_points in (26, 512):
+        assert locate_zeros(N, a, grid_points, EvalParams(1e-17)) == []
 
 
 def test_scan_grid_ends_stay_inside_the_strip():
@@ -175,6 +177,14 @@ def test_scan_grid_ends_stay_inside_the_strip():
             for grid_points in (16, 511, 512):
                 grid = scan_grid(N, grid_points, tol)
                 assert -N - 1 < grid[0] and grid[-1] < -N, (N, tol)
+    # every grid size where a margin below a float step lets the last
+    # point round onto -N (scan_grid(0, 26, 1e-17)[-1] was 0.0)
+    for N in range(-1, 8):
+        for tol in (1e-17, 3e-17):
+            for grid_points in range(16, 700):
+                grid = scan_grid(N, grid_points, tol)
+                assert -N - 1 < grid[0] and grid[-1] < -N, (
+                    N, tol, grid_points)
 
 
 def test_locate_zeros_validation():
