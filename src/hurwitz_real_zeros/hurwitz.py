@@ -51,7 +51,8 @@ certifies, and else the sign with an exclusion ball: the pole rung's
 reaches the pole; elsewhere on [-3, 1), the certified value's excess over
 its bound gives the radius r of [sigma, sigma + r], over which zeta keeps
 that sign (`_ball_radius`); below -3, r = 0.  A certified full value gives
-a ball the same way.  No ball is stored, so `sign` depends on (a, params,
+a ball the same way, whatever path served it: a ball depends on sigma and
+the margin alone.  No ball is stored, so `sign` depends on (a, params,
 sigma) alone, never on earlier calls.  A certified sign is the full
 value's, so a caller may skip the points a ball covers, or go straight to
 the full value, without changing a sign.  `sign_changes` walks a grid that
@@ -60,11 +61,13 @@ value there, loose sum or full value, gives a two-sided ball [sigma - r,
 sigma + r] inside the bracket; a midpoint inside the latest ball of either
 sign takes its sign with no sum, and other steps take loose sums until the
 first uncertified one, then full values.  Balls are second order: the slope
-at sigma is taken with its sign from the value's own powers, and only its
-change across the ball is bounded, so they reach a zero's neighbourhood in
-few steps.  They bound zeta through the Euler-Maclaurin form with one head
-term, a^-sigma, whose terms cancel far less than those of a longer head,
-and two corrections, four in a bisection.  On N = -1..2 (197 a from
+at sigma is taken with its sign from the powers a^-sigma and (1 + a)^-sigma,
+and only its change across the ball is bounded, so they reach a zero's
+neighbourhood in few steps.  They bound zeta through the Euler-Maclaurin
+form with one head term, a^-sigma, whose terms cancel far less than those
+of a longer head, and two corrections, four in a bisection.  At 1e-15,
+where guarded mpmath serves most full values next to a zero on N = -1..2,
+their balls cut a cell's `mpf-em` calls to about a third.  On N = -1..2 (197 a from
 `random.Random(100)`) a 512-point walk takes a median of 6, 7, 5 and 7
 loose sums, and a bisection 3.1, 2.3, 1.7 and 2.3 loose sums and 4.5, 8.1,
 9.9 and 11.4 full values.  On N = 3..7 (40 a per strip) a bisection tries
@@ -377,9 +380,11 @@ class Evaluator:
     whether a point moves to `mpf-em`.  `sign` returns the certified sign
     of zeta: that of the pole rung or a cheaper sum where its bound
     allows, else that of the value.  No call depends on an earlier one.
-    `sign_changes` and `bisect` are a zero scan's two halves: the grid
-    walk on forward exclusion balls, and the bisection of each sign change
-    it finds, on balls two-sided inside its bracket.
+    Every certified value on [-3, 1), loose sum or full value, whatever
+    path served it, leaves an exclusion ball (`_certify`).  `sign_changes`
+    and `bisect` are a zero scan's two halves: the grid walk on forward
+    exclusion balls, and the bisection of each sign change it finds, on
+    balls two-sided inside its bracket.
     """
 
     def __init__(self, a: float, params: EvalParams = EvalParams()):
@@ -403,12 +408,6 @@ class Evaluator:
             + params.target_abs_error)
 
     def __call__(self, sigma: float):
-        val, bound, path, _ = self._evaluate(sigma)
-        return val, bound, path
-
-    def _evaluate(self, sigma: float):
-        """self(sigma) with the `_em_float` head terms of a `float-em`
-        value, else None: (value, bound, path, terms)."""
         a = self.a
         sigma = float(sigma)
         if not math.isfinite(sigma):
@@ -420,7 +419,7 @@ class Evaluator:
             if sigma.is_integer() and sigma >= 1 - RATIONAL_CAP:
                 val = hurwitz_zeta_exact_at_nonpositive_integer(
                     1 - int(sigma), Fraction(a))
-                return float(val), 0.0, "exact", None
+                return float(val), 0.0, "exact"
             plan = self._fourier_plan(sigma, target)
             # where the terms pass MAX_CUTOFF or rounding alone passes
             # target/2, Euler-Maclaurin serves
@@ -428,11 +427,11 @@ class Evaluator:
                     and plan[3] <= target / 2.0):
                 n, pref, tail, rounding = plan
                 return (pref * self._fourier_sum(sigma, n), tail + rounding,
-                        "fourier", None)
+                        "fourier")
         M = _default_cutoff(sigma)
-        val, bound, terms = self._em_float(sigma, M, target)
+        val, bound = self._em_float(sigma, M, target)
         if bound <= target:
-            return val, bound, "float-em", terms
+            return val, bound, "float-em"
         # rounding left truncation too little room
         val, bound = _em_mpf(sigma, a, M, MAX_CORRECTION_ORDER, target)
         if bound > target:
@@ -441,15 +440,15 @@ class Evaluator:
                 f"at sigma={sigma}, a={a}",
                 achieved_bound=bound,
             )
-        return val, bound, "mpf-em", None
+        return val, bound, "mpf-em"
 
     def _em_float(self, sigma: float, M: int, target: float):
-        """Euler-Maclaurin in floats with M head terms: (value, bound,
-        terms), the bound covering truncation and float rounding, terms
-        being [(n + a)^-sigma for n < M], whose first two `_ball_radius`
-        reuses.  The bound is infinite when rounding alone reaches
-        `target`; a head, integral or half term that overflows a float
-        raises `AccuracyError` with an infinite bound."""
+        """Euler-Maclaurin in floats with M head terms: (value, bound),
+        the bound covering truncation and float rounding.  It is infinite
+        when rounding alone reaches `target`; a head, integral or half term
+        that overflows a float raises `AccuracyError` with an infinite
+        bound.  A value's exclusion ball does not depend on this sum:
+        `_ball_radius` takes its own powers."""
         head_plan = self._heads.get(M)
         if head_plan is None:
             a = self.a
@@ -460,8 +459,7 @@ class Evaluator:
         bases, q, ln_q, reach = head_plan
         x = 1.0 - sigma
         try:
-            terms = [b ** -sigma for b in bases]
-            head = math.fsum(terms)
+            head = math.fsum([b ** -sigma for b in bases])
             q_x = q ** x
             q_s = q ** -sigma
         except OverflowError:
@@ -504,13 +502,13 @@ class Evaluator:
         if dx:
             rounding += abs(dx) * (ln_q + 1.0 / abs(x)) * integral_abs
         if rounding >= target:
-            return total, math.inf, terms
+            return total, math.inf
         kmax = MAX_CORRECTION_ORDER
         if s_abs + 2 * kmax > reach:
             kmax = int((reach - s_abs) / 2.0)
         val, bound = _correction_loop(sigma, q, total, kmax,
                                       target - rounding, _em_coef)
-        return val, bound + rounding, terms
+        return val, bound + rounding
 
     def sign(self, sigma: float) -> int:
         """Certified sign (-1, 0 or 1) of zeta(sigma, a).
@@ -531,8 +529,8 @@ class Evaluator:
     def _value_sign(self, sigma: float, bounds=None):
         """(sign, r): the sign of the full value self(sigma)[0], with the
         exclusion ball that `_certify` gives it, else r = 0."""
-        val, bound, _, terms = self._evaluate(sigma)
-        return (self._certify(sigma, val, bound, terms, bounds)
+        val, bound, _ = self(sigma)
+        return (self._certify(sigma, val, bound, bounds)
                 or ((val > 0.0) - (val < 0.0), 0.0))
 
     def _loose_sign(self, sigma: float, bounds=None):
@@ -548,19 +546,18 @@ class Evaluator:
             if plan is not None:
                 n, pref, tail, rounding = plan
                 return self._certify(sigma, pref * self._fourier_sum(sigma, n),
-                                     tail + rounding, None)
+                                     tail + rounding)
         elif sigma < 1.0:
             d = 1.0 - sigma
             if d <= self._pole_reach:
                 return -1, ((1.0 - 1e-12) * d if bounds is None
                             else self._pole_reach - d)
-            val, bound, terms = self._em_float(sigma, SIGN_HEAD_TERMS,
-                                               SIGN_SCAN_TARGET)
-            return self._certify(sigma, val, bound, terms, bounds)
+            val, bound = self._em_float(sigma, SIGN_HEAD_TERMS,
+                                        SIGN_SCAN_TARGET)
+            return self._certify(sigma, val, bound, bounds)
         return None
 
-    def _certify(self, sigma: float, val: float, bound: float, terms,
-                 bounds=None):
+    def _certify(self, sigma: float, val: float, bound: float, bounds=None):
         """(sign, r) where the value `val` at sigma, within `bound` of
         zeta(sigma, a), certifies its sign, else None.
 
@@ -568,20 +565,19 @@ class Evaluator:
         value certifies where margin = |val| - bound - target - 2 eps |val|
         > 0, 2 eps |val| covering the value's own rounding.  Then |zeta| >
         target, so sign(val) is the sign of zeta and of any value within
-        target of it, the full value's included, at any target.  A value
-        whose float Euler-Maclaurin head `terms` the caller passes gives
-        the exclusion ball of `_ball_radius` on the margin, on [-3, 1):
-        forward, or, given a bisection's slope `bounds`, two-sided inside
-        its bracket.  Elsewhere, and for `fourier`, `mpf-em` and `exact`
-        values (terms None), r = 0."""
+        target of it, the full value's included, at any target.  On [-3,
+        1) every certified value gives the exclusion ball of `_ball_radius`
+        on the margin, whatever path served it: forward, or, given a
+        bisection's slope `bounds`, two-sided inside its bracket.
+        Elsewhere r = 0."""
         margin = (abs(val) - bound - self.params.target_abs_error
                   - 2.0 * _EPS * abs(val))
         if not margin > 0.0:
             return None
         sgn = 1 if val > 0.0 else -1
-        if terms is None or not FOURIER_CROSSOVER <= sigma < 1.0:
+        if not FOURIER_CROSSOVER <= sigma < 1.0:
             return sgn, 0.0
-        return sgn, self._ball_radius(sigma, sgn, margin, terms, bounds)
+        return sgn, self._ball_radius(sigma, sgn, margin, bounds)
 
     def sign_changes(self, lo: float, step: float, n: int):
         """The sign changes of zeta(., a) over the grid lo + i * step, i <
@@ -676,15 +672,14 @@ class Evaluator:
             consts = self._em_slopes = _em_slope_consts(self.a)
         return consts
 
-    def _ball_radius(self, sigma: float, sgn: int, margin: float, heads,
+    def _ball_radius(self, sigma: float, sgn: int, margin: float,
                      bounds=None) -> float:
         """r >= 0 with zeta(., a) of sign `sgn` and |zeta| > |zeta(sigma, a)|
         - margin on [sigma, sigma + r], or, given `_slope_bounds` (rho, P2)
         over a span around sigma, on [sigma - r, sigma + r] inside that
         span, if -3 <= sigma < 1, 0 < margin < |zeta(sigma, a)| and sgn is
-        its sign: the exclusion ball of a certified value.  heads[0] =
-        a^-sigma and heads[1] = q^-sigma, q = 1 + a, are the first two head
-        terms of the value's own sum.
+        its sign: the exclusion ball of a certified value.  It depends on
+        (a, sigma, margin) alone, not on the sum that gave the value.
 
         With one head term and k corrections (Apostol Ch. 12), for s > -2k,
         zeta(s, a) = a^-s + q^(1-s)/(s-1) + q^-s/2 + sum_(j<=k) C_j (s)_m
@@ -699,8 +694,8 @@ class Evaluator:
         s, and P' = ln^2 a a^-s - q^u ((u ln q - 1)^2 + 1)/u^3 + (ln^2 q/2)
         q^-s + sum_j C_j q^(1-s-m) ((s)_m'' - 2 (s)_m' ln q + (s)_m ln^2
         q).  `_slope_bounds` bounds |R'| by rho and |P'| by P2 over a span.
-        P(sigma) takes `heads`, with sign; 1e-12 times the sum of its terms'
-        sizes covers its rounding.
+        P(sigma) takes a^-sigma and q^-sigma, with sign; 1e-12 times the
+        sum of its terms' sizes covers its rounding.
 
         Inside the span, |zeta'(y)| <= |P(sigma)| + rho + |y - sigma| P2,
         so zeta keeps its sign and |zeta| falls by at most r (rho +
@@ -716,12 +711,15 @@ class Evaluator:
         margin/L(0)), then r = min(r1, margin/L(r1)), so L r <= margin with
         L(r1) >= L(r) (`_fourier_slope`).  The Euler-Maclaurin ball is
         solved once, only where u passes r, and the larger stands.  Where
-        a^(-sigma-u) passes e^690, no Euler-Maclaurin ball forms, so that
-        P2 stays a float.
+        a^-sigma passes e^690, sigma > 0 and r = 0; where a forward ball's
+        a^(-sigma-u) does, no Euler-Maclaurin ball forms.  So P2 stays a
+        float.
         """
         consts = self._consts()
         q, ln_q, ln_a, ln_a2, c1, c2, c3, c4, _, p2_0 = consts[:10]
-        a_s, q_s = heads[0], heads[1]
+        if -sigma * ln_a > 690.0:
+            return 0.0
+        a_s, q_s = self.a ** -sigma, q ** -sigma
         d = 1.0 - sigma
         q_d = q * q_s
         g = (1.0 - d * ln_q) / (d * d)

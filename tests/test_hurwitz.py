@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -38,7 +39,11 @@ from hurwitz_real_zeros.hurwitz import (
     integrand_G,
     riemann_zeta,
 )
-from hurwitz_real_zeros.zero_analysis import locate_zeros, scan_grid
+from hurwitz_real_zeros.zero_analysis import (
+    locate_zeros,
+    scan_grid,
+    verify_theorem,
+)
 
 F = Fraction
 TIGHT = EvalParams(target_abs_error=1e-12)
@@ -429,15 +434,15 @@ def _strip_grid(N, points):
 
 def _count_full_calls(monkeypatch):
     # every full value, the public call's and `sign`'s, goes through
-    # `_evaluate`
+    # `__call__`
     calls = [0]
-    full = Evaluator._evaluate
+    full = Evaluator.__call__
 
     def counted(self, sigma):
         calls[0] += 1
         return full(self, sigma)
 
-    monkeypatch.setattr(Evaluator, "_evaluate", counted)
+    monkeypatch.setattr(Evaluator, "__call__", counted)
     return calls
 
 
@@ -560,10 +565,10 @@ def test_signs_match_scalar_on_float_em_random(sigmas, a):
 
 def _ball_radius(sigma, a, margin):
     """`Evaluator(a)._ball_radius` at sigma, forward, with its loose sum's
-    head terms and sign."""
+    sign."""
     ev = Evaluator(a)
-    val, _, terms = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
-    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin, terms)
+    val, _ = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+    return ev._ball_radius(sigma, 1 if val > 0.0 else -1, margin)
 
 
 def _loose_sum_evaluator(a):
@@ -721,7 +726,7 @@ def _em_ball(sigma, a):
     """(sign, margin, radius) of the ball `_loose_sign(sigma)` returns from
     its loose sum, or None where that sum does not certify."""
     ev = _loose_sum_evaluator(a)
-    val, bound, _ = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
+    val, bound = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
     loose = ev._loose_sign(sigma)
     if loose is None:
         return None
@@ -733,15 +738,24 @@ def _em_ball(sigma, a):
     return sgn, margin, radius
 
 
-def _assert_keeps_sign(sigma, a, sgn, margin, lo, hi):
-    """sgn zeta(y) >= sgn zeta(sigma) - margin > target at 10 points
-    across [lo, hi] (its ends included), at 30 digits: a ball's claim."""
-    target = EvalParams().target_abs_error
+@lru_cache(maxsize=4096)
+def _mp_zeta30(y, a):
+    """zeta(y, a) at 30 digits, y an mpf; a ball's centre is often also
+    its first point, and one centre may have two balls."""
     with mpmath.workdps(30):
-        start = sgn * mpmath.zeta(mpmath.mpf(sigma), mpmath.mpf(a))
-        for i in range(10):
-            y = mpmath.mpf(lo) + (mpmath.mpf(hi) - mpmath.mpf(lo)) * i / 9
-            z = sgn * mpmath.zeta(y, mpmath.mpf(a))
+        return mpmath.zeta(y, mpmath.mpf(a))
+
+
+def _assert_keeps_sign(sigma, a, sgn, margin, lo, hi,
+                       target=EvalParams().target_abs_error, points=10):
+    """sgn zeta(y) >= sgn zeta(sigma) - margin > target at `points` points
+    across [lo, hi] (its ends included), at 30 digits: a ball's claim."""
+    with mpmath.workdps(30):
+        start = sgn * _mp_zeta30(mpmath.mpf(sigma), a)
+        for i in range(points):
+            y = (mpmath.mpf(lo)
+                 + (mpmath.mpf(hi) - mpmath.mpf(lo)) * i / (points - 1))
+            z = sgn * _mp_zeta30(y, a)
             assert z >= start - margin and z > target, (sigma, a, lo, hi, i)
 
 
@@ -771,12 +785,12 @@ def test_bracket_balls_keep_their_sign_on_both_halves():
                 lo, hi = max(-3.0, sigma - h), min(sigma + h, 1.0 - 1e-9)
                 ev = _loose_sum_evaluator(a)
                 bounds = ev._bracket_bounds(lo, hi)
-                found = [(ev._value_sign(sigma, bounds), ev(sigma))]
+                found = [(ev._value_sign(sigma, bounds), ev(sigma)[:2])]
                 loose = ev._loose_sign(sigma, bounds)
                 if loose is not None:
                     found.append((loose, ev._em_float(
                         sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)))
-                for (sgn, radius), (val, bound, _) in found:
+                for (sgn, radius), (val, bound) in found:
                     margin = (abs(val) - bound - target
                               - 2.0 * _EPS * abs(val))
                     assert radius == 0.0 or margin > 0.0
@@ -786,6 +800,63 @@ def test_bracket_balls_keep_their_sign_on_both_halves():
                                            max(lo, sigma - radius),
                                            min(hi, sigma + radius))
     assert balls >= 100
+
+
+#: A target tighter than float Euler-Maclaurin reaches on most of N = -1..2,
+#: so that guarded mpmath serves the full values next to a zero.
+_MPF_EM_TARGET = EvalParams(1e-15)
+
+
+def test_mpf_em_balls_keep_their_sign():
+    # a certified `mpf-em` value gives a ball like a `float-em` one: its
+    # radius depends on sigma and the margin alone.  Forward and two-sided
+    # inside a bisection's bracket [sigma - h, sigma + h], next to zeros of
+    # N = -1..2 on both sides of each
+    target = _MPF_EM_TARGET.target_abs_error
+    h = 1.0 / 511.0
+    balls = 0
+    for a in (0.1, 0.3, 0.6, 0.77):
+        for z in _em_zeros(a):
+            for d in (-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2):
+                sigma = z + d
+                ev = Evaluator(a, _MPF_EM_TARGET)
+                val, bound, path = ev(sigma)
+                if path != "mpf-em":
+                    continue
+                margin = abs(val) - bound - target - 2.0 * _EPS * abs(val)
+                assert margin > 0.0, (sigma, a)
+                lo, hi = max(-3.0, sigma - h), min(sigma + h, 1.0 - 1e-9)
+                # each ball with the span it is clipped to
+                for (sgn, radius), left, right in (
+                        (ev._value_sign(sigma), sigma, math.inf),
+                        (ev._value_sign(sigma, ev._bracket_bounds(lo, hi)),
+                         lo, hi)):
+                    assert radius > 0.0, (sigma, a, left, right)
+                    balls += 1
+                    _assert_keeps_sign(sigma, a, sgn, margin,
+                                       max(left, sigma - radius),
+                                       min(right, sigma + radius),
+                                       target, points=5)
+    assert balls >= 90
+
+
+def test_tight_target_sweep_caps_its_mpf_em_calls(monkeypatch):
+    # the 1e-15 sweep of N = -1..2 over a = 0.05..0.95: each certified
+    # `mpf-em` value leaves a ball, so later grid points and bisection
+    # steps inside it need no guarded-mpmath sum.  With no balls from
+    # `mpf-em` values the sweep made 1361 calls; it makes 425
+    calls = [0]
+    em_mpf = hurwitz_module._em_mpf
+
+    def counted(*args):
+        calls[0] += 1
+        return em_mpf(*args)
+
+    monkeypatch.setattr(hurwitz_module, "_em_mpf", counted)
+    report = verify_theorem([0.05 * k for k in range(1, 20)], -1, 2,
+                            params=_MPF_EM_TARGET)
+    assert report.n_disagree == 0
+    assert 0 < calls[0] <= 450
 
 
 def test_a_margin_inside_the_rounding_term_certifies_nothing(monkeypatch):
@@ -800,11 +871,11 @@ def test_a_margin_inside_the_rounding_term_certifies_nothing(monkeypatch):
     injected, balls, visits = set(), [], []
 
     def squeezed(self, sigma, M, target_):
-        val, bound, terms = em_float(self, sigma, M, target_)
+        val, bound = em_float(self, sigma, M, target_)
         if (sigma, self.a) in injected and M == SIGN_HEAD_TERMS:
             bound = abs(val) - target - _EPS * abs(val)
             assert bound > 0.0
-        return val, bound, terms
+        return val, bound
 
     def counted(sign):
         def wrapped(self, sigma, *args):
@@ -920,8 +991,7 @@ def test_bracket_ball_takes_the_four_correction_slope():
     for _ in range(60):
         sigma, a = rng.uniform(-3.0, 0.9), rng.uniform(0.01, 1.0)
         ev = Evaluator(a)
-        _, _, terms = ev._em_float(sigma, SIGN_HEAD_TERMS, SIGN_SCAN_TARGET)
-        radius = ev._ball_radius(sigma, 1, 1.0, terms, (0.0, 0.0))
+        radius = ev._ball_radius(sigma, 1, 1.0, (0.0, 0.0))
         with mpmath.workdps(30):
             p = abs(_em_slope(sigma, a, 4))
         assert abs(1 / mpmath.mpf(radius) - p) <= 1e-9 * (1 + p), (sigma, a)

@@ -234,9 +234,9 @@ def test_scans_count_their_walk_and_bisection_sums(monkeypatch):
             self.walk_points += self.walking
             return super()._loose_sign(sigma, *args)
 
-        def _evaluate(self, sigma):
+        def __call__(self, sigma):
             log.append("full")
-            return super()._evaluate(sigma)
+            return super().__call__(sigma)
 
         def _em_float(self, sigma, M, target):
             if M == SIGN_HEAD_TERMS:
@@ -481,13 +481,13 @@ def test_loose_sums_serve_at_loose_targets(monkeypatch):
         zero_analysis.LocatedZero(*z)
         for z in _full_value_zeros(1, 0.4, params)]
     full = [0]
-    call = zero_analysis.Evaluator._evaluate
+    call = zero_analysis.Evaluator.__call__
 
     def counted(self, sigma):
         full[0] += 1
         return call(self, sigma)
 
-    monkeypatch.setattr(zero_analysis.Evaluator, "_evaluate", counted)
+    monkeypatch.setattr(zero_analysis.Evaluator, "__call__", counted)
     assert locate_zeros(-1, 0.7, params=params) == []
     assert full[0] == 0
 
