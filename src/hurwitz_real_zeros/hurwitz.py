@@ -31,7 +31,8 @@ computes what does not depend on sigma once: the head bases n + a per
 cutoff, and the Fourier angles 2 pi (k a mod 1) up to the most terms a
 point needs (the float Euler-Maclaurin coefficients B_2k/(2k)! are cached
 per k for the process).  It stays in pure Python: importing numpy costs
-more set-up time and memory than a scan.
+more set-up time and memory than a scan.  mpmath is imported on the first
+`mpf-em` call, and scans and queries at the default target never import it.
 
 `Evaluator.sign(sigma)` returns the certified sign of zeta(sigma, a),
 which is all a zero scan uses.  It tries three rungs in turn:
@@ -81,8 +82,6 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from mpmath import mp, mpf
 
 from .bernoulli import (
     RATIONAL_CAP,
@@ -258,6 +257,9 @@ def _correction_loop(s, q, total, kmax, target, coef):
 
 
 def _em_mpf(sigma: float, a: float, M: int, kmax: int, target: float):
+    # imported here: no scan or query at the default target reaches mpf-em
+    from mpmath import mp, mpf
+
     q0 = M + a
     guard = max(0.0, -sigma) * math.log10(q0 + 2.0)
     dps = 18 + int(guard) + max(0, int(-math.log10(target)) - 10)

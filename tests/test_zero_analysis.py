@@ -504,6 +504,35 @@ def test_scan_imports_neither_numpy_nor_scipy():
     assert out == "[]\n"
 
 
+def test_cold_start_imports_mpmath_on_first_mpf_em_call():
+    # mpmath loads inside _em_mpf: set-up calls, exact values and CLI
+    # queries at the default target never import it
+    src = Path(zero_analysis.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        "import hurwitz_real_zeros as h\n"
+        "from hurwitz_real_zeros import cli\n"
+        "h.hurwitz_zeta(-2.5, 0.37); h.hurwitz_zeta(-7.5, 0.37)\n"
+        "assert h.hurwitz_zeta_detailed(-8, 0.37).path == 'exact'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['predict', '--N=3', '--a=0.37'],\n"
+        "                 ['eval', '--sigma=-2.5', '--a=0.37'],\n"
+        "                 ['roots', '--n=6']):\n"
+        "        assert cli.main(argv + ['--format=json']) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+        "r = h.hurwitz_zeta_detailed(-30.5, 0.3)\n"
+        "print(r.path, repr(r.value), repr(r.error_bound))\n"
+        "print('mpmath' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == [
+        "False",
+        "mpf-em -188727347.8101171 3.4259145534669814e-12",
+        "True",
+    ]
+
+
 def test_zero_count_parity_matches_prediction():
     for N in range(0, 5):
         for a in (0.1, 0.3, 0.45, 0.7, 0.9):
