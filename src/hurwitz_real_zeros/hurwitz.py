@@ -153,8 +153,9 @@ MAX_CUTOFF = 10_000
 MAX_CORRECTION_ORDER = 30
 
 #: x below this uses the Laurent-tail form of the integrand (validity radius
-#: of the expansion is 2*pi, comfortably above it).
-SMALL_X_THRESHOLD = 0.5
+#: of the expansion is 2*pi, comfortably above it).  Below 1 the direct
+#: difference divided by x^(N+1) would magnify its rounding by x^-(N+1).
+SMALL_X_THRESHOLD = 1.0
 
 
 class PoleError(ValueError):
@@ -204,9 +205,15 @@ def check_shift(a: float) -> float:
     return a
 
 
+def _check_strip_index(N: int) -> None:
+    # G_N subtracts the Laurent terms c_0..c_(N+1), and the exact Bernoulli
+    # values behind them stop at c_RATIONAL_CAP
+    if not -1 <= N < RATIONAL_CAP:
+        raise ValueError(f"strip index must be in [-1, {RATIONAL_CAP - 1}]")
+
+
 def _check_strip(N: int, sigma: float) -> None:
-    if N < -1:
-        raise ValueError("strip index must be >= -1")
+    _check_strip_index(N)
     if not (-N - 1 < sigma < -N):
         raise StripError(
             f"sigma={sigma} is not strictly inside (-{N + 1}, {-N})"
@@ -923,8 +930,7 @@ def integrand_G(N: int, a: float, x: float) -> float:
     because the subtracted partial sum matches the leading terms.
     """
     a = check_shift(a)
-    if N < -1:
-        raise ValueError("strip index must be >= -1")
+    _check_strip_index(N)
     if x <= 0.0:
         raise ValueError("x must be positive")
     if x < SMALL_X_THRESHOLD:
@@ -932,52 +938,33 @@ def integrand_G(N: int, a: float, x: float) -> float:
     return _integrand_G_direct(N, a, x)
 
 
-#: Absolute tolerance of each quadrature in `integral_representation`.
-QUAD_TOL = 5e-11
-
-
 def integral_representation(sigma: float, a: float, N: int) -> float:
     """Gamma(sigma)*zeta(sigma,a) via the strip integral, for sigma in
-    (-N-1, -N), each quadrature to absolute error `QUAD_TOL`.
+    (-N-1, -N), by tanh-sinh quadrature in floats (`mpmath.fp.quad`).
 
-    Split at x = 1 mirroring the proof decomposition P + Q_N + R_N: the tail
-    piece P integrates the exponential kernel out to where its envelope
-    clears the budget, Q_N is the closed-form rational part, and R_N handles
-    (0,1] with the algebraic endpoint weight x^(N+sigma) factored out.
+    Split at x = 1 mirroring the proof decomposition P + Q_N + R_N: P
+    integrates the exponential kernel over [1, oo), Q_N is the closed-form
+    rational part, and R_N integrates (G_N/x^(N+1)) * x^(N+sigma) over
+    (0,1] after the substitution x = t^k, k = 1/(N+sigma+1), which turns
+    x^(N+sigma) dx into k dt and so removes the end singularity.
     """
-    # imported here: scipy would dominate the package's cold import time
-    from scipy.integrate import quad
+    from mpmath import fp
 
     a = check_shift(a)
     sigma = float(sigma)
     _check_strip(N, sigma)
     c = _laurent_coeffs(a)
 
-    # R_N: (0,1], integrand (G_N/x^(N+1)) * x^(N+sigma), weight exponent
-    # in (-1,0) handled by the QUADPACK algebraic-weight rule.
-    r_val, _ = quad(
-        lambda x: _integrand_G_scaled(N, a, x),
-        0.0,
-        1.0,
-        weight="alg",
-        wvar=(N + sigma, 0.0),
-        epsabs=QUAD_TOL,
-        epsrel=1e-10,
-        limit=200,
-    )
+    k = 1.0 / (N + sigma + 1.0)
+    r_val = k * fp.quad(lambda t: _integrand_G_scaled(N, a, t ** k),
+                        [0.0, 1.0])
 
     # Q_N: the continued rational part sum_n c_n/(n+sigma-1); all
     # denominators are strictly negative inside the strip.
     q_val = math.fsum(c[n] / (n + sigma - 1.0) for n in range(N + 2))
 
-    # P: [1, X], envelope e^(-a x) bounds the tail beyond X.
-    x_max = max(50.0, -math.log(QUAD_TOL * a) / a + 20.0)
-    p_val, _ = quad(
+    p_val = fp.quad(
         lambda x: math.exp(-a * x) / (-math.expm1(-x)) * x ** (sigma - 1.0),
-        1.0,
-        x_max,
-        epsabs=QUAD_TOL,
-        epsrel=1e-10,
-        limit=200,
+        [1.0, math.inf],
     )
     return p_val + q_val + r_val

@@ -1104,6 +1104,9 @@ def test_integrand_domain_errors():
         integrand_G(0, 0.5, -1.0)
     with pytest.raises(ValueError):
         integrand_G(-2, 0.5, 1.0)
+    # past the exact Bernoulli values the Laurent coefficients run out
+    with pytest.raises(ValueError):
+        integrand_G(RATIONAL_CAP, 0.5, 1.0)
 
 
 def test_small_x_vanishing_order():
@@ -1122,13 +1125,18 @@ def test_small_x_vanishing_order():
 # ----------------------------------------------------- integral transform
 
 def test_integral_representation_matches_gamma_zeta():
+    # the last point of strips 0..3, and strips 5 and 7, take a small a,
+    # where P's integrand e^(-ax) x^(sigma-1) / (1 - e^(-x)) holds most of
+    # its mass next to x = 1, far from where e^(-ax) decays
     samples = {
         -1: [(0.25, 0.3), (0.5, 0.7), (0.75, 1.0)],
-        0: [(-0.75, 0.2), (-0.5, 1.0), (-0.25, 0.6)],
-        1: [(-1.75, 0.4), (-1.5, 0.9), (-1.25, 0.5)],
-        2: [(-2.7, 0.15), (-2.5, 0.5), (-2.2, 0.8)],
-        3: [(-3.6, 0.25), (-3.5, 1.0), (-3.3, 0.45)],
+        0: [(-0.75, 0.2), (-0.5, 1.0), (-0.25, 0.6), (-0.5, 1e-9)],
+        1: [(-1.75, 0.4), (-1.5, 0.9), (-1.25, 0.5), (-1.5, 1e-6)],
+        2: [(-2.7, 0.15), (-2.5, 0.5), (-2.2, 0.8), (-2.5, 1e-6)],
+        3: [(-3.6, 0.25), (-3.5, 1.0), (-3.3, 0.45), (-3.5, 1e-6)],
         4: [(-4.8, 0.35), (-4.5, 0.65), (-4.1, 0.95)],
+        5: [(-5.5, 5e-4)],
+        7: [(-7.5, 1e-3)],
     }
     for N, pairs in samples.items():
         for sigma, a in pairs:
@@ -1137,9 +1145,24 @@ def test_integral_representation_matches_gamma_zeta():
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
+def test_integral_representation_large_strip_index():
+    # R_N's integrand is G_N / x^(N+1); a direct difference divided by
+    # x^(N+1) magnifies its rounding by about 2^N on [1/2, 1).  The
+    # references are 30-digit mpmath gamma * zeta: the evaluator misses
+    # its target at -45.5
+    for sigma, a, N, ref in (
+            (-36.5, 0.3, 36, -6.55112202605460879718344644111e-30),
+            (-45.5, 0.3, 45, -2.18707035826950301757152471246e-37),
+            (-63.5, 0.5, 63, -1.46239051447320435443197779172e-51)):
+        assert integral_representation(sigma, a, N) == pytest.approx(
+            ref, abs=1e-7)
+
+
 def test_integral_representation_strip_violation():
     for sigma in (-1.0, -2.0, -0.5, 0.5):
         with pytest.raises(StripError):
             integral_representation(sigma, 0.5, 1)
     with pytest.raises(StripError):
         integral_representation(-0.5, 1.0, -1)
+    with pytest.raises(ValueError):
+        integral_representation(-RATIONAL_CAP - 0.5, 0.5, RATIONAL_CAP)

@@ -493,9 +493,11 @@ def test_loose_sums_serve_at_loose_targets(monkeypatch):
 
 
 def test_scan_imports_neither_numpy_nor_scipy():
-    # the pure-Python grid keeps import time and peak memory small
+    # the pure-Python grid keeps import time and peak memory small, and
+    # the strip integral runs on mpmath's float quadrature
     src = Path(zero_analysis.__file__).resolve().parents[1]
     code = ("import sys, hurwitz_real_zeros as h; h.locate_zeros(2, 0.3); "
+            "h.integral_representation(-2.5, 0.37, 2); "
             "print(sorted(m for m in ('numpy', 'scipy') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(src))
