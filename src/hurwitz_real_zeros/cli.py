@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 verification disagreement, 2 domain error,
 3 evaluator accuracy failure.  Data goes to stdout, diagnostics to stderr;
-identical invocations produce byte-identical output.
+identical invocations produce byte-identical output.  Each call builds
+only the options of the sub-command it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -63,6 +63,8 @@ def _emit(args, config: dict, fields: dict, header, rows, table,
         out.update(fields)
         print(json.dumps(out, sort_keys=True))
     elif args.format == "csv":
+        import csv  # imported here: queries at the default formats skip it
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -227,7 +229,9 @@ def _cmd_verify(args, config: dict) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The hzeta parser with all five sub-commands; only `command`'s
+    options are added, or every sub-command's when `command` is None."""
     parser = argparse.ArgumentParser(
         prog="hzeta",
         description="Real zeros of the Hurwitz zeta function: evaluation, "
@@ -235,6 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, summary):
+        """Register sub-command `name`; return its parser if its options
+        are to be added, else None."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
     def common(p, *options):
         """--digits, --format and the named ones of tol, grid, delta."""
@@ -253,49 +264,52 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, default=1e-3,
                            help="boundary exclusion distance for sweeps")
 
-    p = sub.add_parser("eval", help="evaluate zeta(sigma, a)")
-    p.add_argument("--sigma", type=float, required=True,
-                   help="real argument; write a negative value in exponent "
-                        "form as --sigma=-2.5e-05")
-    p.add_argument("--a", type=float, required=True)
-    common(p, "tol")
-    p.set_defaults(func=_cmd_eval)
+    p = add("eval", _cmd_eval, "evaluate zeta(sigma, a)")
+    if p:
+        p.add_argument("--sigma", type=float, required=True,
+                       help="real argument; write a negative value in "
+                            "exponent form as --sigma=-2.5e-05")
+        p.add_argument("--a", type=float, required=True)
+        common(p, "tol")
 
-    p = sub.add_parser("roots", help="roots of the nth Bernoulli polynomial")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_roots)
+    p = add("roots", _cmd_roots, "roots of the nth Bernoulli polynomial")
+    if p:
+        p.add_argument("--n", type=int, required=True)
+        common(p)
 
-    p = sub.add_parser("predict", help="zero-existence prediction for "
-                                       "(-N-1, -N)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_predict)
+    p = add("predict", _cmd_predict,
+            "zero-existence prediction for (-N-1, -N)")
+    if p:
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--a", type=float, required=True)
+        common(p)
 
-    p = sub.add_parser("scan", help="locate zeros numerically")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--curve", action="store_true",
-                   help="emit the scanned (sigma, zeta) curve instead")
-    common(p, "tol", "grid")
-    p.set_defaults(func=_cmd_scan)
+    p = add("scan", _cmd_scan, "locate zeros numerically")
+    if p:
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--curve", action="store_true",
+                       help="emit the scanned (sigma, zeta) curve instead")
+        common(p, "tol", "grid")
 
-    p = sub.add_parser("verify", help="sweep predictions against the "
-                                      "numeric harness")
-    p.add_argument("--nmin", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--astep", type=float, required=True)
-    p.add_argument("--uniqueness", action="store_true",
-                   help="also count zeros per deep interval [-2M-2, -2M)")
-    common(p, "tol", "grid", "delta")
-    p.set_defaults(func=_cmd_verify)
+    p = add("verify", _cmd_verify,
+            "sweep predictions against the numeric harness")
+    if p:
+        p.add_argument("--nmin", type=int, required=True)
+        p.add_argument("--nmax", type=int, required=True)
+        p.add_argument("--astep", type=float, required=True)
+        p.add_argument("--uniqueness", action="store_true",
+                       help="also count zeros per deep interval "
+                            "[-2M-2, -2M)")
+        common(p, "tol", "grid", "delta")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the first token names the sub-command: the top-level options exit
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if "tol" in args and not 0.0 < args.tol < math.inf:
             raise ValueError("tolerances must be finite and positive")

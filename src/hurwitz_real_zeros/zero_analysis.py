@@ -13,7 +13,7 @@ scan builds one `Evaluator`, walks the grid on its certified signs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from hurwitz_real_zeros import __version__
 from hurwitz_real_zeros.bernoulli import even_roots
-from hurwitz_real_zeros.cli import main
+from hurwitz_real_zeros.cli import build_parser, main
 from hurwitz_real_zeros.hurwitz import EvalParams, Evaluator
 
 
@@ -390,3 +391,63 @@ def test_console_entry_point():
     done = cli("eval", "--sigma", "1", "--a", "0.5")
     assert (done.returncode, done.stdout) == (2, "")
     assert "pole" in done.stderr
+
+
+# ----------------------------------------------------------------- parser
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["bogus"],
+    *([command, "--help"]
+      for command in ("eval", "roots", "predict", "scan", "verify")),
+    ["predict", "--tol=1e-5", "--N=1", "--a=0.5"], ["eval", "--a=0.3"],
+    ["scan", "--N=1"], ["verify", "--nmin=0"], ["roots", "--n=x"],
+], ids=" ".join)
+def test_help_and_errors_match_the_full_parser(capsys, argv):
+    # main builds only the named sub-command's options; what it prints
+    # and its exit code must equal the parser with every option built
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["predict", "--N=3", "--a=0.37", "--format=json"], 11),
+    (["eval", "--sigma=-1.5", "--a=0.37", "--format=json"], 12),
+])
+def test_query_adds_only_its_own_options(capsys, monkeypatch, argv, most):
+    # the full parser makes 35 calls: -h on all six parsers, --version and
+    # the 28 sub-command options; a query adds only its own command's
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(argv) == 0
+    assert 0 < len(calls) <= most
+
+
+def test_cold_start_imports_csv_on_first_csv_query():
+    # csv loads inside _emit's csv branch: JSON queries never import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from hurwitz_real_zeros import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['predict', '--N=3', '--a=0.37'],\n"
+        "                 ['eval', '--sigma=-2.5', '--a=0.37'],\n"
+        "                 ['roots', '--n=6']):\n"
+        "        assert cli.main(argv + ['--format=json']) == 0\n"
+        "    before = 'csv' in sys.modules\n"
+        "    assert cli.main(['roots', '--n=6', '--format=csv']) == 0\n"
+        "print(before, 'csv' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False True\n"
